@@ -85,11 +85,33 @@ class _Resolver:
                 f"section '{self._args.command}')", module=_MODULE)
         return value
 
-    def vector3(self, key, default=None, required=False):
+    def _typed(self, key, kind, convert, default, required):
         value = self.require(key) if required else self.get(key, default)
         if value is None:
             return None
-        vec = np.asarray(value, dtype=float)
+        try:
+            return convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"key '{key}' must be {kind}, got {value!r}",
+                                  module=_MODULE) from exc
+
+    def number(self, key, default=None, required=False):
+        return self._typed(key, "a number", float, default, required)
+
+    def integer(self, key, default=None, required=False):
+        return self._typed(key, "an integer", int, default, required)
+
+    def numbers(self, key):
+        return self._typed(key, "a list of numbers",
+                           lambda value: tuple(float(v) for v in value),
+                           None, False)
+
+    def vector3(self, key, default=None, required=False):
+        vec = self._typed(key, "a 3-vector of numbers",
+                          lambda value: np.asarray(value, dtype=float),
+                          default, required)
+        if vec is None:
+            return None
         if vec.shape != (3,):
             raise ValidationError(f"key '{key}' must be a 3-vector",
                                   module=_MODULE)
@@ -124,20 +146,20 @@ def _print_written(path) -> None:
 
 def cmd_design(args, config) -> int:
     opts = _Resolver(args, config)
-    area = float(opts.require("A_mm2")) * _MM2
-    length = float(opts.require("l_mm")) * _MM
-    width = float(opts.require("w_mm")) * _MM
-    k_l = float(opts.get("k_L", 1.0))
-    eps_r = float(opts.get("epsilon_r", 1.0))
-    target_ghz = opts.get("target_freq_GHz")
+    area = opts.number("A_mm2", required=True) * _MM2
+    length = opts.number("l_mm", required=True) * _MM
+    width = opts.number("w_mm", required=True) * _MM
+    k_l = opts.number("k_L", 1.0)
+    eps_r = opts.number("epsilon_r", 1.0)
+    target_ghz = opts.number("target_freq_GHz")
     if target_ghz is not None:
         probe = circuit.CavityGeometry(plate_area=area, gap=1e-3,
                                        path_length=length, path_width=width)
-        gap = circuit.gap_for_frequency(probe, float(target_ghz) * _GHZ,
+        gap = circuit.gap_for_frequency(probe, target_ghz * _GHZ,
                                         inductance_scale=k_l,
                                         relative_permittivity=eps_r)
     else:
-        gap = float(opts.require("d_mm")) * _MM
+        gap = opts.number("d_mm", required=True) * _MM
     geom = circuit.CavityGeometry(plate_area=area, gap=gap,
                                   path_length=length, path_width=width)
     params = circuit.eigenfrequency(geom, inductance_scale=k_l,
@@ -149,7 +171,7 @@ def cmd_design(args, config) -> int:
         "omega_c_rad_per_s": params.omega_c, "f_c_Hz": params.f_c,
     }
     if target_ghz is not None:
-        report["target_freq_Hz"] = float(target_ghz) * _GHZ
+        report["target_freq_Hz"] = target_ghz * _GHZ
 
     rows = [("plate area", f"{area:.6g} m^2"),
             ("gap", f"{gap:.6g} m"),
@@ -181,21 +203,21 @@ def cmd_design(args, config) -> int:
 def cmd_spins(args, config) -> int:
     opts = _Resolver(args, config)
     species = nvspin.SpinSpecies(
-        zero_field_splitting=float(opts.get("D_GHz", 2.87)) * _GHZ,
-        g_factor=float(opts.get("g_factor", 2.0028)))
+        zero_field_splitting=opts.number("D_GHz", 2.87) * _GHZ,
+        g_factor=opts.number("g_factor", 2.0028))
     direction = opts.vector3("direction", default=[0.0, 1.0, 0.0])
-    b_max = float(opts.get("B_max_mT", 20.0)) * 1e-3
-    n_points = int(opts.get("n_points", 81))
+    b_max = opts.number("B_max_mT", 20.0) * 1e-3
+    n_points = opts.integer("n_points", 81)
     if n_points < 2 or b_max <= 0:
         raise ValidationError("sweep needs B_max_mT > 0 and n_points >= 2",
                               module=_MODULE)
     b_values = np.linspace(0.0, b_max, n_points)
 
-    tune_ghz = opts.get("tune_to_GHz")
+    tune_ghz = opts.number("tune_to_GHz")
     if tune_ghz is not None:
         branch = opts.get("branch", "upper")
         b_star = nvspin.zeeman_tune(species, nvspin.NV_AXES, direction,
-                                    float(tune_ghz) * _GHZ, which=branch)
+                                    tune_ghz * _GHZ, which=branch)
         print(f"tuned_B_T={b_star:.17g}")
 
     out = opts.get("out", "spins_sweep.csv")
@@ -223,24 +245,22 @@ def _fieldmap_from_opts(opts) -> fieldmap.FieldMap:
         raise ValidationError("source must be 'model' or 'file'",
                               module=_MODULE)
     sheets = fieldmap.bowtie_sheet_pair(
-        length=float(opts.require("sheet_length_mm")) * _MM,
-        width=float(opts.require("sheet_width_mm")) * _MM,
-        gap=float(opts.require("sheet_gap_mm")) * _MM,
-        surface_current=float(opts.get("surface_current_A_per_m", 1.0)))
+        length=opts.number("sheet_length_mm", required=True) * _MM,
+        width=opts.number("sheet_width_mm", required=True) * _MM,
+        gap=opts.number("sheet_gap_mm", required=True) * _MM,
+        surface_current=opts.number("surface_current_A_per_m", 1.0))
     extents = opts.vector3("grid_extents_mm", required=True) * _MM
     dims = opts.vector3("grid_dims", required=True)
     grid = fieldmap.GridSpec.centered(extents, tuple(int(n) for n in dims))
-    return fieldmap.biot_savart_map(sheets, grid,
-                                    rtol=float(opts.get("rtol", 1e-8)),
-                                    workers=int(opts.get("workers", 1)))
+    return fieldmap.biot_savart_map(sheets, grid)
 
 
 def cmd_fieldmap(args, config) -> int:
     opts = _Resolver(args, config)
     fmap = _fieldmap_from_opts(opts)
-    norm_ghz = opts.get("normalize_to_GHz")
+    norm_ghz = opts.number("normalize_to_GHz")
     if norm_ghz is not None:
-        fmap = fieldmap.normalize_to_vacuum(fmap, float(norm_ghz) * _GHZ)
+        fmap = fieldmap.normalize_to_vacuum(fmap, norm_ghz * _GHZ)
 
     out_map = opts.get("out_map", "fieldmap.csv")
     fieldmap.export_map(out_map, fmap)
@@ -254,12 +274,11 @@ def cmd_fieldmap(args, config) -> int:
     if center is not None:
         region = fieldmap.SampleRegion(center=center * _MM,
                                        extents=extents * _MM)
-        bins = opts.get("bins")
+        bins = opts.numbers("bins")
         if bins is None:
             report = fieldmap.homogeneity(fmap, region)
         else:
-            report = fieldmap.homogeneity(fmap, region,
-                                          bins=tuple(float(b) for b in bins))
+            report = fieldmap.homogeneity(fmap, region, bins=bins)
         out_report = opts.get("out_report", "homogeneity.json")
         atomic_write_text(out_report, json.dumps(report.as_dict(), indent=2) + "\n")
         _print_written(out_report)
@@ -282,23 +301,23 @@ def cmd_couple(args, config) -> int:
     center = opts.vector3("region_center_mm", required=True) * _MM
     extents = opts.vector3("region_extents_mm", required=True) * _MM
     ens = coupling.EnsembleSpec(
-        density_ppm=float(opts.require("density_ppm")),
+        density_ppm=opts.number("density_ppm", required=True),
         region=fieldmap.SampleRegion(center=center, extents=extents))
     species = nvspin.SpinSpecies(
-        zero_field_splitting=float(opts.get("D_GHz", 2.87)) * _GHZ,
-        g_factor=float(opts.get("g_factor", 2.0028)))
+        zero_field_splitting=opts.number("D_GHz", 2.87) * _GHZ,
+        g_factor=opts.number("g_factor", 2.0028))
 
-    kappa_mhz = opts.get("kappa_MHz")
-    gamma_mhz = opts.get("gamma_star_MHz")
-    kappa = None if kappa_mhz is None else float(kappa_mhz) * _MHZ
-    gamma_star = None if gamma_mhz is None else float(gamma_mhz) * _MHZ
+    kappa_mhz = opts.number("kappa_MHz")
+    gamma_mhz = opts.number("gamma_star_MHz")
+    kappa = None if kappa_mhz is None else kappa_mhz * _MHZ
+    gamma_star = None if gamma_mhz is None else gamma_mhz * _MHZ
     report = coupling.coupling_report(fmap, ens, species=species,
                                       kappa=kappa, gamma_star=gamma_star)
     payload = report.as_dict()
 
-    omega_mhz = opts.get("Omega_MHz")
+    omega_mhz = opts.number("Omega_MHz")
     if omega_mhz is not None:
-        omega_meas = float(omega_mhz) * _MHZ
+        omega_meas = omega_mhz * _MHZ
         payload["Omega_measured_Hz"] = omega_meas
         if kappa is not None and gamma_star is not None:
             payload["cooperativity_measured"] = coupling.cooperativity(
@@ -316,22 +335,23 @@ def cmd_couple(args, config) -> int:
 
 def _system_from_opts(opts) -> spectroscopy.CoupledSystem:
     return spectroscopy.CoupledSystem(
-        omega_c=float(opts.require("omega_c_GHz")) * _GHZ,
-        kappa=float(opts.require("kappa_MHz")) * _MHZ,
-        omega_s=float(opts.require("omega_s_GHz")) * _GHZ,
-        gamma_star=float(opts.require("gamma_star_MHz")) * _MHZ,
-        Omega=float(opts.require("Omega_MHz")) * _MHZ)
+        omega_c=opts.number("omega_c_GHz", required=True) * _GHZ,
+        kappa=opts.number("kappa_MHz", required=True) * _MHZ,
+        omega_s=opts.number("omega_s_GHz", required=True) * _GHZ,
+        gamma_star=opts.number("gamma_star_MHz", required=True) * _MHZ,
+        Omega=opts.number("Omega_MHz", required=True) * _MHZ)
 
 
 def cmd_spectrum(args, config) -> int:
     opts = _Resolver(args, config)
     sys_ = _system_from_opts(opts)
     if opts.flag("map2d"):
-        delta = (float(opts.require("delta_min_MHz")) * _MHZ,
-                 float(opts.require("delta_max_MHz")) * _MHZ)
-        probe = (float(opts.require("probe_min_MHz")) * _MHZ,
-                 float(opts.require("probe_max_MHz")) * _MHZ)
-        dims = (int(opts.require("n_delta")), int(opts.require("n_probe")))
+        delta = (opts.number("delta_min_MHz", required=True) * _MHZ,
+                 opts.number("delta_max_MHz", required=True) * _MHZ)
+        probe = (opts.number("probe_min_MHz", required=True) * _MHZ,
+                 opts.number("probe_max_MHz", required=True) * _MHZ)
+        dims = (opts.integer("n_delta", required=True),
+                opts.integer("n_probe", required=True))
         grid = spectroscopy.avoided_crossing_map(sys_, delta, probe, dims)
         out = opts.get("out", "crossing_map.csv")
         spectroscopy.write_grid(out, grid)
@@ -347,18 +367,17 @@ def cmd_spectrum(args, config) -> int:
             _print_written(plot)
         return 0
 
-    f_min = float(opts.require("f_min_GHz")) * _GHZ
-    f_max = float(opts.require("f_max_GHz")) * _GHZ
-    n_points = int(opts.get("n_points", 2001))
+    f_min = opts.number("f_min_GHz", required=True) * _GHZ
+    f_max = opts.number("f_max_GHz", required=True) * _GHZ
+    n_points = opts.integer("n_points", 2001)
     spec = spectroscopy.spectrum(sys_, f_min, f_max, n_points)
-    noise = opts.get("noise_fraction")
+    noise = opts.number("noise_fraction")
     if noise is not None:
-        seed = opts.get("seed")
+        seed = opts.integer("seed")
         if seed is None:
             raise ValidationError("noise_fraction requires an explicit seed",
                                   module=_MODULE)
-        spec = spectroscopy.with_multiplicative_noise(spec, float(noise),
-                                                      int(seed))
+        spec = spectroscopy.with_multiplicative_noise(spec, noise, seed)
     out = opts.get("out", "spectrum.csv")
     spectroscopy.write_spectrum(out, spec)
     _print_written(out)
@@ -381,8 +400,8 @@ def cmd_fit(args, config) -> int:
         free = tuple(name.strip() for name in free.split(",") if name.strip())
     result = spectroscopy.fit_spectrum(
         data, initial, free=free,
-        initial_amplitude=float(opts.get("initial_amplitude", 1.0)),
-        max_iterations=int(opts.get("max_iterations", 200)))
+        initial_amplitude=opts.number("initial_amplitude", 1.0),
+        max_iterations=opts.integer("max_iterations", 200))
 
     out = opts.get("out", "fit_result.json")
     spectroscopy.write_fit_result(out, result)
@@ -480,9 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
                    type=float, metavar=("EX", "EY", "EZ"))
     p.add_argument("--grid-dims", dest="grid_dims", nargs=3, type=int,
                    metavar=("NX", "NY", "NZ"))
-    p.add_argument("--rtol", type=float,
-                   help="quadrature relative tolerance (default 1e-8)")
-    p.add_argument("--workers", type=int, help="solver threads (default 1)")
     p.add_argument("--normalize-to-GHz", dest="normalize_to_GHz", type=float,
                    help="rescale to the single-photon field of this mode "
                         "frequency")

@@ -313,6 +313,8 @@ def fit_spectrum(data: Spectrum, initial: CoupledSystem, free=None,
         raise DomainError("at least one parameter must be free", module=_MODULE)
     if not (initial_amplitude > 0 and math.isfinite(initial_amplitude)):
         raise DomainError("initial_amplitude must be > 0", module=_MODULE)
+    if max_iterations < 1:
+        raise DomainError("max_iterations must be >= 1", module=_MODULE)
     if data.freq_hz.size <= len(free):
         raise DomainError("spectrum has too few points for the number of "
                           "free parameters", module=_MODULE)

@@ -127,7 +127,7 @@ class TestFieldmapCommand:
         rc, stdout, _ = run_cli(
             capsys, "fieldmap", "--sheet-length-mm", 8, "--sheet-width-mm",
             6.6, "--sheet-gap-mm", 1.27, "--grid-extents-mm", 2, 2, 0.8,
-            "--grid-dims", 3, 3, 3, "--rtol", 1e-4,
+            "--grid-dims", 3, 3, 3,
             "--region-center-mm", 0, 0, 0, "--region-extents-mm", 2, 2, 0.8,
             "--out-map", out_map, "--out-report", out_report)
         assert rc == 0
@@ -358,6 +358,16 @@ class TestFit:
         payload = json.loads(out.read_text())
         assert payload["Omega_Hz"] == pytest.approx(12.46e6, rel=1e-6)
 
+    def test_zero_iterations_rejected(self, tmp_path, capsys):
+        data = tmp_path / "spec.csv"
+        self.write_reference_spectrum(data)
+        rc, _, stderr = run_cli(capsys, "fit", "--data", data,
+                                *self.GUESS_ARGS, "--max-iterations", 0,
+                                "--out", tmp_path / "fit.json")
+        assert rc == 1
+        assert stderr.startswith("ERROR:spectroscopy:domain:")
+        assert "max_iterations" in stderr
+
     def test_missing_data_file(self, tmp_path, capsys):
         rc, _, stderr = run_cli(capsys, "fit", "--data",
                                 tmp_path / "nope.csv", *self.GUESS_ARGS,
@@ -406,3 +416,31 @@ class TestErrorProtocol:
         rc, _, stderr = run_cli(capsys, "--config", config, "constants")
         assert rc == 1
         assert stderr.startswith("ERROR:cli:validation:")
+
+    @pytest.mark.parametrize("command, section, argv", [
+        ("design", {"A_mm2": "big"}, ["--l-mm", 10, "--w-mm", 2, "--d-mm", 1]),
+        ("spins", {"n_points": "many"}, []),
+        ("spins", {"direction": ["x", 0, 1]}, []),
+        ("fieldmap", {"bins": 0.05}, ["--sheet-length-mm", 8,
+                                      "--sheet-width-mm", 6.6,
+                                      "--sheet-gap-mm", 1.27,
+                                      "--grid-extents-mm", 2, 2, 0.8,
+                                      "--grid-dims", 3, 3, 3,
+                                      "--region-center-mm", 0, 0, 0,
+                                      "--region-extents-mm", 2, 2, 0.8]),
+        ("spectrum", {"f_min_GHz": [3.0]}, ["--omega-c-GHz", 3.121,
+                                            "--kappa-MHz", 1.91,
+                                            "--omega-s-GHz", 3.121,
+                                            "--gamma-star-MHz", 3.0,
+                                            "--Omega-MHz", 12.46]),
+    ])
+    def test_malformed_config_value_names_the_key(self, tmp_path, capsys,
+                                                  monkeypatch, command,
+                                                  section, argv):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({command: section}))
+        rc, _, stderr = run_cli(capsys, "--config", config, command, *argv)
+        assert rc == 1
+        assert stderr.startswith("ERROR:cli:validation:")
+        assert f"'{next(iter(section))}'" in stderr
