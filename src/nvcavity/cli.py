@@ -56,6 +56,20 @@ def _load_config(path):
     return config
 
 
+def _as_names(value) -> tuple:
+    if isinstance(value, str):
+        value = value.split(",")
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise TypeError(f"not a list of names: {value!r}")
+    return tuple(name.strip() for name in value if name.strip())
+
+
+def _as_path(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"not a path: {value!r}")
+    return value
+
+
 class _Resolver:
     """Option lookup: CLI flag, then config section, then default."""
 
@@ -117,8 +131,15 @@ class _Resolver:
                                   module=_MODULE)
         return vec
 
+    def names(self, key):
+        return self._typed(key, "a comma-separated string or a list of names",
+                           _as_names, None, False)
+
+    def path(self, key, default=None, required=False):
+        return self._typed(key, "a path string", _as_path, default, required)
+
     def input_path(self, key):
-        path = self.require(key)
+        path = self.path(key, required=True)
         if not os.path.exists(path):
             raise ValidationError(f"input file for '{key}' not found: {path}",
                                   module=_MODULE)
@@ -183,7 +204,7 @@ def cmd_design(args, config) -> int:
     for name, value in rows:
         print(f"{name:<12} {value}")
 
-    out = opts.get("out", "design_report.json")
+    out = opts.path("out", "design_report.json")
     atomic_write_text(out, json.dumps(report, indent=2) + "\n")
     _print_written(out)
     if args.emit_plot_data:
@@ -220,7 +241,7 @@ def cmd_spins(args, config) -> int:
                                     tune_ghz * _GHZ, which=branch)
         print(f"tuned_B_T={b_star:.17g}")
 
-    out = opts.get("out", "spins_sweep.csv")
+    out = opts.path("out", "spins_sweep.csv")
     nvspin.write_transition_sweep(out, species, direction, b_values)
     _print_written(out)
     if args.emit_plot_data:
@@ -262,7 +283,7 @@ def cmd_fieldmap(args, config) -> int:
     if norm_ghz is not None:
         fmap = fieldmap.normalize_to_vacuum(fmap, norm_ghz * _GHZ)
 
-    out_map = opts.get("out_map", "fieldmap.csv")
+    out_map = opts.path("out_map", "fieldmap.csv")
     fieldmap.export_map(out_map, fmap)
     _print_written(out_map)
 
@@ -279,7 +300,7 @@ def cmd_fieldmap(args, config) -> int:
             report = fieldmap.homogeneity(fmap, region)
         else:
             report = fieldmap.homogeneity(fmap, region, bins=bins)
-        out_report = opts.get("out_report", "homogeneity.json")
+        out_report = opts.path("out_report", "homogeneity.json")
         atomic_write_text(out_report, json.dumps(report.as_dict(), indent=2) + "\n")
         _print_written(out_report)
         print(f"mean |B| = {report.mean_field_t:.6g} T, "
@@ -323,7 +344,7 @@ def cmd_couple(args, config) -> int:
             payload["cooperativity_measured"] = coupling.cooperativity(
                 omega_meas, kappa, gamma_star)
 
-    out = opts.get("out", "coupling_report.json")
+    out = opts.path("out", "coupling_report.json")
     atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
     _print_written(out)
     print(f"g0 mean = {report.g0_mean:.6g} Hz, N = {report.n_spins:.6g}, "
@@ -353,7 +374,7 @@ def cmd_spectrum(args, config) -> int:
         dims = (opts.integer("n_delta", required=True),
                 opts.integer("n_probe", required=True))
         grid = spectroscopy.avoided_crossing_map(sys_, delta, probe, dims)
-        out = opts.get("out", "crossing_map.csv")
+        out = opts.path("out", "crossing_map.csv")
         spectroscopy.write_grid(out, grid)
         _print_written(out)
         if args.emit_plot_data:
@@ -378,7 +399,7 @@ def cmd_spectrum(args, config) -> int:
             raise ValidationError("noise_fraction requires an explicit seed",
                                   module=_MODULE)
         spec = spectroscopy.with_multiplicative_noise(spec, noise, seed)
-    out = opts.get("out", "spectrum.csv")
+    out = opts.path("out", "spectrum.csv")
     spectroscopy.write_spectrum(out, spec)
     _print_written(out)
     if args.emit_plot_data:
@@ -395,15 +416,13 @@ def cmd_fit(args, config) -> int:
     data = spectroscopy.read_spectrum(opts.input_path("data"),
                                       magnitude="dB" if in_db else "linear")
     initial = _system_from_opts(opts)
-    free = opts.get("free")
-    if isinstance(free, str):
-        free = tuple(name.strip() for name in free.split(",") if name.strip())
+    free = opts.names("free")
     result = spectroscopy.fit_spectrum(
         data, initial, free=free,
         initial_amplitude=opts.number("initial_amplitude", 1.0),
         max_iterations=opts.integer("max_iterations", 200))
 
-    out = opts.get("out", "fit_result.json")
+    out = opts.path("out", "fit_result.json")
     spectroscopy.write_fit_result(out, result)
     _print_written(out)
     print(f"Omega = {result.system.Omega:.6g} Hz, "
@@ -435,10 +454,6 @@ _COMMANDS = {
     "fit": cmd_fit,
     "constants": cmd_constants,
 }
-
-
-def _float3(parts):
-    return [float(p) for p in parts]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -570,7 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(default: the five system parameters; "
                                   "'amplitude' adds an overall scale)")
     p.add_argument("--initial-amplitude", dest="initial_amplitude", type=float)
-    p.add_argument("--max-iterations", dest="max_iterations", type=int)
+    p.add_argument("--max-iterations", dest="max_iterations", type=int,
+                   help="cap on the solver's model evaluations (default 200)")
     p.add_argument("--out", help="fit JSON path")
 
     sub.add_parser("constants", help="print the physical-constants registry")

@@ -20,7 +20,8 @@ import numpy as np
 from ._fileio import atomic_write_text
 from .constants import BOHR_MAGNETON, CARBON_SITE_DENSITY_M3, PLANCK_H, SPIN_MATRIX_ELEMENT
 from .errors import DomainError
-from .fieldmap import FieldMap, SampleRegion, region_cell_magnitudes
+from .fieldmap import (FieldMap, SampleRegion, region_cell_magnitudes,
+                       weighted_deviations)
 from .nvspin import SpinSpecies
 
 _MODULE = "coupling"
@@ -170,19 +171,9 @@ def coupling_report(fmap: FieldMap, ens: EnsembleSpec,
             "coupling_report needs a vacuum-normalized map; call "
             "normalize_to_vacuum first", module=_MODULE)
     values, weights = region_cell_magnitudes(fmap, ens.region)
+    mean_field, g0_rms, g0_max, _ = weighted_deviations(values, weights)
     rate = _coupling_rate_per_tesla(species, ens.s_matrix_element)
-    g0_values = rate * values
-    w_total = float(weights.sum())
-    if w_total <= 0:
-        raise DomainError("sample region does not overlap any grid cell",
-                          module=_MODULE)
-    g0_mean = float((weights * g0_values).sum() / w_total)
-    if g0_mean <= 0:
-        raise DomainError("mean g0 over the region is zero; deviation "
-                          "statistics are undefined", module=_MODULE)
-    dev = (g0_values - g0_mean) / g0_mean
-    g0_rms = math.sqrt(float((weights * dev * dev).sum()) / w_total)
-    g0_max = float(np.max(np.abs(dev[weights > 0])))
+    g0_mean = rate * mean_field
     n = spin_count(ens)
     omega = collective_coupling(g0_mean, n)
     coop = None
@@ -191,7 +182,7 @@ def coupling_report(fmap: FieldMap, ens: EnsembleSpec,
     elif (kappa is None) != (gamma_star is None):
         raise DomainError("kappa and gamma_star must be given together",
                           module=_MODULE)
-    return CouplingReport(g0_map=g0_values, region_weights=weights,
+    return CouplingReport(g0_map=rate * values, region_weights=weights,
                           g0_mean=g0_mean, g0_rms_deviation=g0_rms,
                           g0_max_deviation=g0_max, n_spins=n, omega=omega,
                           cooperativity=coop)

@@ -469,6 +469,27 @@ def region_cell_magnitudes(fmap: FieldMap,
     return values, weights
 
 
+def weighted_deviations(values: np.ndarray, weights: np.ndarray):
+    """Weighted mean of ``values`` and their deviations from it.
+
+    Returns (mean, rms deviation, max deviation, deviation array), the
+    deviations as fractions of the mean; the max runs over entries of
+    positive weight.  The fractions do not change when every value is
+    scaled by the same positive factor.
+    """
+    w_total = float(weights.sum())
+    if w_total <= 0:
+        raise DomainError("sample region does not overlap any grid cell",
+                          module=_MODULE)
+    mean = float((weights * values).sum() / w_total)
+    if mean <= 0:
+        raise DomainError("mean |B| over the region is zero; deviations are "
+                          "undefined", module=_MODULE)
+    dev = (values - mean) / mean
+    rms = math.sqrt(float((weights * dev * dev).sum()) / w_total)
+    return mean, rms, float(np.max(np.abs(dev[weights > 0]))), dev
+
+
 _DEFAULT_CONTOUR_BINS = (0.01, 0.02, 0.05, 0.10)
 
 
@@ -486,21 +507,11 @@ def homogeneity(fmap: FieldMap, region: SampleRegion,
         raise DomainError("bins must be a strictly increasing sequence of "
                           "positive deviation thresholds", module=_MODULE)
     values, weights = region_cell_magnitudes(fmap, region)
-    w_total = float(weights.sum())
-    if w_total <= 0:
-        raise DomainError("sample region does not overlap any grid cell",
-                          module=_MODULE)
-    mean = float((weights * values).sum() / w_total)
-    if mean <= 0:
-        raise DomainError("mean |B| over the region is zero; deviations are "
-                          "undefined", module=_MODULE)
-    dev = (values - mean) / mean
-    rms = math.sqrt(float((weights * dev * dev).sum()) / w_total)
-    max_dev = float(np.max(np.abs(dev[weights > 0])))
+    mean, rms, max_dev, dev = weighted_deviations(values, weights)
     bin_index = np.searchsorted(np.asarray(edges), np.abs(dev), side="right")
     sums = np.bincount(bin_index.ravel(), weights=weights.ravel(),
                        minlength=len(edges) + 1)
-    fractions = sums / w_total
+    fractions = sums / sums.sum()
     histogram = tuple(zip(list(edges) + [math.inf], (float(f) for f in fractions)))
     return HomogeneityReport(mean_field_t=mean, rms_deviation=rms,
                              max_deviation=max_dev, contour_histogram=histogram)

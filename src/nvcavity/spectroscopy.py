@@ -10,8 +10,10 @@ spin ensemble.  All quantities, probe frequency included, are ordinary
 frequencies in Hz; the expression is invariant under a uniform 2*pi
 rescaling, so angular units work too as long as they are consistent.
 
-Fitting runs a derivative-free simplex first and polishes with a
-damped finite-difference Gauss-Newton stage.
+Fitting is one Levenberg-Marquardt solve (MINPACK through scipy
+``least_squares``) fed the exact Jacobian of the model,
+d|S21|^2/dp = 2 Re(conj(t) dt/dp); the Jacobian also gives the exact
+curvature J^T J reported with each fit.
 """
 
 import json
@@ -189,26 +191,48 @@ def _refine_peak(freqs: np.ndarray, vals: np.ndarray, i: int) -> float:
     return float(freqs[i] - b / (2.0 * a))
 
 
-def peak_splitting(spec: Spectrum, noise_floor: float = 0.0) -> float:
-    """Distance in Hz between the two highest interior local maxima.
+def _prominence(y: np.ndarray, k: int) -> float:
+    """Height of ``y[k]`` above the higher of the lowest points between
+    it and the nearest higher sample (or the end) on either side."""
+    higher = np.flatnonzero(y > y[k])
+    left = higher[higher < k]
+    right = higher[higher > k]
+    left_min = y[left[-1] if left.size else 0:k + 1].min()
+    right_min = y[k:right[0] if right.size else y.size].min()
+    return float(y[k] - max(left_min, right_min))
 
-    Each peak position is refined by quadratic interpolation through
-    the three samples around the maximum; maxima at or below
-    ``noise_floor`` are ignored.
+
+def peak_splitting(spec: Spectrum, noise_floor: float = 0.0) -> float:
+    """Distance in Hz between the two most prominent interior maxima.
+
+    Candidate maxima are the local maxima of a moving average over up
+    to 15 samples, so a noise spike beside a peak does not count as a
+    second peak.  The two with the largest prominence on that average
+    are kept; a prominence below 2 % of the highest averaged sample,
+    or a highest raw sample at or below ``noise_floor``, rules a
+    candidate out.  Each peak is placed at the highest raw sample in
+    its averaging window and refined by quadratic interpolation
+    through the three raw samples around it.
     """
     vals = spec.s21_sq
     freqs = spec.freq_hz
-    candidates = [i for i in range(1, len(vals) - 1)
-                  if vals[i] > vals[i - 1] and vals[i] > vals[i + 1]
-                  and vals[i] > noise_floor]
-    if len(candidates) < 2:
+    width = 2 * min(7, vals.size // 40) + 1
+    # smooth[k] averages the raw window vals[k:k + width].
+    smooth = np.convolve(vals, np.full(width, 1.0 / width), mode="valid")
+    inner = smooth[1:-1]
+    candidates = np.flatnonzero((inner > smooth[:-2]) & (inner > smooth[2:])) + 1
+    threshold = 0.02 * smooth.max()
+    peaks = []
+    for k in candidates:
+        i = k + int(np.argmax(vals[k:k + width]))
+        prominence = _prominence(smooth, k)
+        if vals[i] > noise_floor and prominence >= threshold:
+            peaks.append((prominence, i))
+    if len(peaks) < 2:
         raise NoSplittingError(
-            f"found {len(candidates)} usable local maxima, need 2",
-            module=_MODULE)
-    top_two = sorted(sorted(candidates, key=lambda i: vals[i])[-2:])
-    lo = _refine_peak(freqs, vals, top_two[0])
-    hi = _refine_peak(freqs, vals, top_two[1])
-    return abs(hi - lo)
+            f"found {len(peaks)} usable local maxima, need 2", module=_MODULE)
+    (_, i), (_, j) = sorted(peaks)[-2:]
+    return abs(_refine_peak(freqs, vals, j) - _refine_peak(freqs, vals, i))
 
 
 def q_to_kappa(f_c: float, q: float, convention: str = "standard") -> float:
@@ -250,9 +274,11 @@ def with_multiplicative_noise(spec: Spectrum, fraction: float,
 class FitResult:
     """Best-fit parameters plus diagnostics.
 
-    residual is the sum of squared differences; curvature is the
-    finite-difference J^T J over the fitted parameters (a covariance
-    proxy up to noise scaling), ordered like param_names.
+    residual is the sum of squared differences; curvature is the exact
+    J^T J of the residuals over the fitted parameters in their physical
+    units (a covariance proxy up to noise scaling), ordered like
+    param_names.  n_iterations counts the solver's model evaluations
+    (scipy's ``nfev``); Jacobian evaluations are not included.
     """
 
     system: CoupledSystem
@@ -282,10 +308,29 @@ class FitResult:
         return json.dumps(self.as_dict(), indent=2)
 
 
-def _params_valid(p: dict) -> bool:
-    return (p["omega_c"] > 0 and p["omega_s"] > 0 and p["kappa"] > 0
-            and p["gamma_star"] > 0 and p["Omega"] >= 0 and p["amplitude"] > 0
-            and all(math.isfinite(v) for v in p.values()))
+def _model_and_jacobian(freqs: np.ndarray, p: np.ndarray):
+    """A0 |t|^2 and its exact derivatives, one column per parameter.
+
+    ``p`` holds the parameters in ``_FIT_PARAM_NAMES`` order.  With
+    t = kappa ds / D, ds = w - omega_s - i gamma*, dc = w - omega_c - i kappa
+    and D = dc ds - Omega^2, each column is A0 * 2 Re(conj(t) dt/dp); the
+    amplitude column is |t|^2 itself.
+    """
+    omega_c, kappa, omega_s, gamma_star, omega, amplitude = p
+    ds = freqs - omega_s - 1j * gamma_star
+    dc = freqs - omega_c - 1j * kappa
+    inv_d = 1.0 / (dc * ds - omega**2)
+    t = kappa * ds * inv_d
+    dt = np.stack([t * ds * inv_d,
+                   (1.0 + 1j * t) * ds * inv_d,
+                   (t * dc - kappa) * inv_d,
+                   1j * (t * dc - kappa) * inv_d,
+                   2.0 * omega * t * inv_d], axis=1)
+    t_sq = t.real**2 + t.imag**2
+    jac = np.empty((freqs.size, 6))
+    jac[:, :5] = 2.0 * amplitude * (t.conj()[:, None] * dt).real
+    jac[:, 5] = t_sq
+    return amplitude * t_sq, jac
 
 
 def fit_spectrum(data: Spectrum, initial: CoupledSystem, free=None,
@@ -296,11 +341,16 @@ def fit_spectrum(data: Spectrum, initial: CoupledSystem, free=None,
     ``free`` names the parameters allowed to vary (default: the five
     system parameters; add "amplitude" to fit an overall scale A0 for
     data that is not normalized to unit bare-cavity transmission).
-    A Nelder-Mead stage provides a robust start, then finite-difference
-    Gauss-Newton iterations (with Levenberg damping) polish it until
-    relative step and relative residual change both drop below 1e-10.
-    Raises a fit-convergence error carrying the best state reached if
-    the iteration cap is hit first.
+    One unbounded Levenberg-Marquardt solve (scipy ``least_squares``,
+    ``method="lm"``) runs with the exact Jacobian of the model, in the
+    coordinates p / p0 for the frequencies and Omega and log(p / p0) for
+    kappa, gamma* and A0, which keeps those three positive.  ``max_iterations`` caps the solver's model
+    evaluations; ``n_iterations`` reports how many it made.  The model
+    depends on Omega only through Omega^2, so |Omega| is reported, and
+    a start at Omega = 0 stays there.  Raises a fit-convergence error
+    when the cap stops the solver, or when it ends at a non-positive
+    frequency or a non-finite value; its ``best`` holds the final
+    state, or the start when the final state is not physical.
     """
     if free is None:
         free = _PARAM_NAMES
@@ -320,124 +370,50 @@ def fit_spectrum(data: Spectrum, initial: CoupledSystem, free=None,
                           "free parameters", module=_MODULE)
 
     freqs = data.freq_hz
-    target = data.s21_sq
-    base = {"omega_c": initial.omega_c, "kappa": initial.kappa,
-            "omega_s": initial.omega_s, "gamma_star": initial.gamma_star,
-            "Omega": initial.Omega, "amplitude": initial_amplitude}
-    scales = np.array([abs(base[name]) if base[name] != 0 else 1.0
-                       for name in free])
+    start = np.array([initial.omega_c, initial.kappa, initial.omega_s,
+                      initial.gamma_star, initial.Omega, initial_amplitude])
+    index = [_FIT_PARAM_NAMES.index(name) for name in free]
+    # kappa, gamma* and A0 move as p0 exp(x), so they stay positive; a
+    # linear kappa can cross zero into the kappa < 0, A0 -> inf valley.
+    logged = np.isin(index, (1, 3, 5))
 
-    def unpack(x: np.ndarray) -> dict:
-        p = dict(base)
-        for name, value, scale in zip(free, x, scales):
-            p[name] = value * scale
+    def unpack(x: np.ndarray) -> np.ndarray:
+        p = start.copy()
+        p[index] = start[index] * np.where(logged, np.exp(x), x)
         return p
 
-    def residuals(x: np.ndarray):
+    def jacobian(x: np.ndarray) -> np.ndarray:
         p = unpack(x)
-        if not _params_valid(p):
-            return None
-        ds = freqs - p["omega_s"] - 1j * p["gamma_star"]
-        dc = freqs - p["omega_c"] - 1j * p["kappa"]
-        ratio = p["kappa"] * ds / (dc * ds - p["Omega"]**2)
-        model = p["amplitude"] * (ratio.real**2 + ratio.imag**2)
-        return model - target
+        dp_dx = np.where(logged, p[index], start[index])
+        return _model_and_jacobian(freqs, p)[1][:, index] * dp_dx
 
-    def objective(x: np.ndarray) -> float:
-        r = residuals(x)
-        return 1e300 if r is None else float(r @ r)
+    # Trial steps far from the data can overflow; the solver rejects them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = optimize.least_squares(
+            lambda x: _model_and_jacobian(freqs, unpack(x))[0] - data.s21_sq,
+            np.where(logged, 0.0, 1.0), jac=jacobian, method="lm",
+            xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=max_iterations)
 
-    # The default simplex perturbs every coordinate by 5%, which for a
-    # GHz-scale frequency is a jump far outside the measured span; size
-    # the frequency steps from the data span instead.
-    span = float(freqs[-1] - freqs[0])
-    x0 = np.ones(len(free))
-    simplex = [x0]
-    for j, name in enumerate(free):
-        step = 0.05
-        if name in ("omega_c", "omega_s"):
-            step = min(0.05, 0.1 * span / scales[j])
-        vertex = x0.copy()
-        vertex[j] += step
-        simplex.append(vertex)
-    nm = optimize.minimize(objective, x0, method="Nelder-Mead",
-                           options={"maxiter": 400 * len(free),
-                                    "maxfev": 400 * len(free),
-                                    "initial_simplex": np.array(simplex),
-                                    "xatol": 1e-8, "fatol": 1e-14})
-    x = np.asarray(nm.x, dtype=float)
-    if residuals(x) is None:
-        x = x0  # simplex wandered out of the physical domain
-
-    r = residuals(x)
-    ssq = float(r @ r)
-    lam = 1e-3
-    converged = False
-    n_gauss_newton = 0
-    for _ in range(max_iterations):
-        # Central differences keep the Jacobian accurate enough near the
-        # optimum for the step to shrink below the convergence threshold.
-        jac = np.empty((r.size, len(free)))
-        for j in range(len(free)):
-            h = 1e-6 * max(abs(x[j]), 1e-2)
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            rp, rm = residuals(xp), residuals(xm)
-            if rp is None or rm is None:
-                base_r = residuals(x)
-                one_sided = rp if rp is not None else rm
-                if one_sided is None:
-                    jac[:, j] = 0.0
-                    continue
-                sign = 1.0 if rp is not None else -1.0
-                jac[:, j] = sign * (one_sided - base_r) / h
-            else:
-                jac[:, j] = (rp - rm) / (2.0 * h)
-        a = jac.T @ jac
-        g = jac.T @ r
-        damping = np.diag(np.where(np.diag(a) > 0, np.diag(a), 1.0))
-        accepted = False
-        for _ in range(25):
-            try:
-                delta = np.linalg.solve(a + lam * damping, -g)
-            except np.linalg.LinAlgError:
-                lam = max(lam * 10.0, 1e-10)
-                continue
-            x_new = x + delta
-            r_new = residuals(x_new)
-            if r_new is not None:
-                ssq_new = float(r_new @ r_new)
-                if ssq_new <= ssq * (1.0 + 1e-15):
-                    accepted = True
-                    break
-            lam = max(lam * 10.0, 1e-10)
-        n_gauss_newton += 1
-        if not accepted:
-            break
-        rel_step = float(np.linalg.norm(delta)) / max(1.0, float(np.linalg.norm(x)))
-        rel_drop = abs(ssq - ssq_new) / max(ssq, 1e-300)
-        x, r, ssq = x_new, r_new, ssq_new
-        lam = max(lam / 10.0, 1e-12)
-        if rel_step < 1e-10 and rel_drop < 1e-10:
-            converged = True
-            break
-
-    params = unpack(x)
-    fitted = CoupledSystem(omega_c=params["omega_c"], kappa=params["kappa"],
-                           omega_s=params["omega_s"],
-                           gamma_star=params["gamma_star"],
-                           Omega=params["Omega"])
-    jac_unscaled = jac / scales[None, :]
-    curvature = jac_unscaled.T @ jac_unscaled
-    result = FitResult(system=fitted, amplitude=params["amplitude"],
-                       residual=ssq, curvature=curvature,
-                       param_names=free,
-                       n_iterations=int(nm.nit) + n_gauss_newton)
-    if not converged:
+    p = unpack(sol.x)
+    p[4] = abs(p[4])
+    # Omega is now >= 0; every other parameter must be positive.
+    physical = bool(np.all(np.isfinite(p)) and np.all(np.delete(p, 4) > 0))
+    best = p if physical else start
+    model, jac = _model_and_jacobian(freqs, best)
+    r = model - data.s21_sq
+    jac = jac[:, index]
+    result = FitResult(system=CoupledSystem(*best[:5].tolist()),
+                       amplitude=float(best[5]), residual=float(r @ r),
+                       curvature=jac.T @ jac, param_names=free,
+                       n_iterations=int(sol.nfev))
+    if sol.status == 0:
         raise FitConvergenceError(
-            f"fit did not converge within {max_iterations} Gauss-Newton "
-            f"iterations (residual {ssq:.6g})", best=result)
+            f"fit did not converge within {max_iterations} model evaluations "
+            f"(residual {result.residual:.6g})", best=result)
+    if not physical:
+        state = ", ".join(f"{n} = {v:.6g}" for n, v in zip(_FIT_PARAM_NAMES, p))
+        raise FitConvergenceError(f"fit ended at a non-physical state ({state}); "
+                                  "the start is kept as the best state", best=result)
     return result
 
 

@@ -433,11 +433,20 @@ class TestErrorProtocol:
                                             "--omega-s-GHz", 3.121,
                                             "--gamma-star-MHz", 3.0,
                                             "--Omega-MHz", 12.46]),
+        ("design", {"out": 5}, ["--A-mm2", 100, "--l-mm", 10, "--w-mm", 2,
+                                "--d-mm", 1]),
+        ("fit", {"free": 5}, ["--data", "spectrum.csv",
+                              "--omega-c-GHz", 3.121, "--kappa-MHz", 1.91,
+                              "--omega-s-GHz", 3.121,
+                              "--gamma-star-MHz", 3.0, "--Omega-MHz", 12.46]),
     ])
     def test_malformed_config_value_names_the_key(self, tmp_path, capsys,
                                                   monkeypatch, command,
                                                   section, argv):
         monkeypatch.chdir(tmp_path)
+        sp.write_spectrum("spectrum.csv", sp.spectrum(sp.CoupledSystem(
+            omega_c=3.121e9, kappa=1.91e6, omega_s=3.121e9, gamma_star=3.0e6,
+            Omega=12.46e6), 3.091e9, 3.151e9, 101))
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({command: section}))
         rc, _, stderr = run_cli(capsys, "--config", config, command, *argv)

@@ -1,10 +1,14 @@
 """Tests for the transmission model, peak extraction, and fitting."""
 
+import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvcavity import spectroscopy as sp
 from nvcavity.errors import (DomainError, FitConvergenceError,
@@ -211,8 +215,6 @@ class TestPeakSplitting:
             sp.peak_splitting(spec)
 
     def test_monotonic_in_coupling(self):
-        from dataclasses import replace
-
         splits = []
         for omega in (6e6, 9e6, 12e6, 15e6, 18e6):
             sys_ = replace(REFERENCE_POINT, Omega=omega)
@@ -230,6 +232,14 @@ class TestPeakSplitting:
         fine = sp.peak_splitting(reference_spectrum(6001))
         coarse_step = 60e6 / 300
         assert abs(coarse - fine) < coarse_step / 10
+
+    @pytest.mark.parametrize("n_points", [1201, 2001])
+    def test_noise_spikes_are_not_peaks(self, n_points):
+        clean = reference_spectrum(n_points)
+        expected = sp.peak_splitting(clean)
+        for seed in range(12):
+            noisy = sp.with_multiplicative_noise(clean, 0.01, seed)
+            assert sp.peak_splitting(noisy) == pytest.approx(expected, rel=0.02)
 
 
 class TestQToKappa:
@@ -318,6 +328,66 @@ class TestFitSpectrum:
                                                     rel=0.05)
         assert result.system.gamma_star == pytest.approx(
             REFERENCE_POINT.gamma_star, rel=0.05)
+
+    # The poor-start matrix: linewidth factor x detuning [Hz] x Omega factor.
+    @pytest.mark.parametrize("linewidth, detuning, omega", itertools.product(
+        (0.5, 1.0, 1.5), (-2e6, 0.0, 2e6), (0.5, 1.0, 2.0)))
+    def test_poor_starts_recover_omega(self, linewidth, detuning, omega):
+        data = sp.with_multiplicative_noise(reference_spectrum(1201), 0.01,
+                                            seed=3)
+        start = sp.CoupledSystem(
+            omega_c=REFERENCE_POINT.omega_c + detuning,
+            kappa=REFERENCE_POINT.kappa * linewidth,
+            omega_s=REFERENCE_POINT.omega_s - detuning,
+            gamma_star=REFERENCE_POINT.gamma_star * linewidth,
+            Omega=REFERENCE_POINT.Omega * omega)
+        result = sp.fit_spectrum(data, start)
+        assert result.system.Omega == pytest.approx(REFERENCE_POINT.Omega,
+                                                    rel=0.02)
+
+    def test_non_physical_end_raises_with_best_state(self):
+        # On bare-cavity data the only thing left to fit is the spins'
+        # dispersive pull, so the spin line runs off below zero frequency.
+        data = sp.spectrum(replace(REFERENCE_POINT, Omega=0.0),
+                           3.091e9, 3.151e9, 601)
+        start = replace(REFERENCE_POINT, omega_s=3.071e9, Omega=1e6)
+        with pytest.raises(FitConvergenceError, match="non-physical") as excinfo:
+            sp.fit_spectrum(data, start, free=("omega_s",))
+        best = excinfo.value.best
+        assert isinstance(best, sp.FitResult)
+        assert best.system == start
+        assert best.residual >= 0.0
+
+    @pytest.mark.parametrize("free", [sp._PARAM_NAMES, sp._FIT_PARAM_NAMES])
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(omega_c=st.floats(1e9, 1e10), detuning=st.floats(-3.0, 3.0),
+           kappa=st.floats(3e5, 1e7), gamma_star=st.floats(3e5, 1e7),
+           omega=st.floats(1e5, 3e7), amplitude=st.floats(0.1, 2.0))
+    def test_jacobian_matches_central_differences(self, free, omega_c,
+                                                  detuning, kappa, gamma_star,
+                                                  omega, amplitude):
+        if "amplitude" not in free:
+            amplitude = 1.0
+        params = {"omega_c": omega_c, "kappa": kappa,
+                  "omega_s": omega_c + detuning * omega, "gamma_star": gamma_star,
+                  "Omega": omega, "amplitude": amplitude}
+        span = omega + 5 * max(kappa, gamma_star)
+        freqs = np.linspace(omega_c - span, omega_c + span, 201)
+
+        def residual(p):
+            sys_ = sp.CoupledSystem(**{k: p[k] for k in sp._PARAM_NAMES})
+            return p["amplitude"] * sp.s21_squared(sys_, freqs)
+
+        _, jac = sp._model_and_jacobian(
+            freqs, np.array([params[k] for k in sp._FIT_PARAM_NAMES]))
+        for name in free:
+            h = (1e-6 * amplitude if name == "amplitude"
+                 else 1e-4 * min(kappa, gamma_star))
+            column = jac[:, sp._FIT_PARAM_NAMES.index(name)]
+            numeric = (residual({**params, name: params[name] + h})
+                       - residual({**params, name: params[name] - h})) / (2 * h)
+            scale = np.max(np.abs(column))
+            assert np.max(np.abs(column - numeric)) <= 1e-6 * scale, name
 
     def test_iteration_cap_raises_with_best_state(self):
         data = reference_spectrum(601)
