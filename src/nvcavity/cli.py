@@ -1,10 +1,14 @@
 """Command-line front end binding all toolkit modules.
 
 Subcommands: design, spins, fieldmap, couple, spectrum, fit, constants.
-Every option can come from a JSON config file (section per subcommand,
-keys matching the flag names with underscores and explicit unit
-suffixes); command-line flags win over config values.  The config path
-comes from --config or the NVCAVITY_CONFIG environment variable.
+``_OPTIONS`` declares every option once as (key, kind, default, help);
+its flag is ``--`` plus the key with dashes, and ``--help`` shows its
+default.  Any option but --emit-plot-data can also come from the
+command's section of a JSON config file (--config or NVCAVITY_CONFIG).
+Before a command runs, each option resolves once: flag, else config
+value checked against its kind (JSON booleans, whole-number integers,
+JSON lists for vectors; unknown keys are ignored), else default.  Keys
+with a unit suffix (_mm, _mm2, _mT, _GHz, _MHz) are scaled to SI.
 
 All errors print a machine-parsable ``ERROR:<module>:<code>: message``
 line on stderr; exit status is 0 only when every requested output was
@@ -16,6 +20,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,10 +31,8 @@ from .errors import ToolkitError, ValidationError
 _MODULE = "cli"
 _CONFIG_ENV_VAR = "NVCAVITY_CONFIG"
 
-_MM = 1e-3
-_MM2 = 1e-6
-_GHZ = 1e9
-_MHZ = 1e6
+# SI factor of each unit suffix a key can end in.
+_SI = {"mm": 1e-3, "mm2": 1e-6, "mT": 1e-3, "GHz": 1e9, "MHz": 1e6}
 
 
 def _load_config(path):
@@ -56,94 +59,210 @@ def _load_config(path):
     return config
 
 
-def _as_names(value) -> tuple:
-    if isinstance(value, str):
-        value = value.split(",")
-    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise TypeError(f"not a list of names: {value!r}")
-    return tuple(name.strip() for name in value if name.strip())
+class _Kind(NamedTuple):
+    """An option type: what it must be, its converter, its argparse keywords."""
+
+    text: str
+    convert: Callable
+    argparse: dict
 
 
-def _as_path(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"not a path: {value!r}")
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    return float(value)
+
+
+def _integer(value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(value)
     return value
 
 
-class _Resolver:
-    """Option lookup: CLI flag, then config section, then default."""
-
-    def __init__(self, args, config):
-        self._args = args
-        self._section = config.get(args.command, {})
-
-    def get(self, key, default=None):
-        value = getattr(self._args, key, None)
-        if value is None:
-            value = self._section.get(key, default)
+def _exactly(type_):
+    def converted(value):
+        if not isinstance(value, type_):
+            raise TypeError(value)
         return value
+    return converted
 
-    def flag(self, key) -> bool:
-        # store_true flags default to False rather than None, so fall
-        # through to the config section whenever the flag was not given.
-        if getattr(self._args, key, False):
-            return True
-        return bool(self._section.get(key, False))
 
-    def require(self, key):
-        value = self.get(key)
+def _list_of(convert, length=None):
+    def converted(value) -> tuple:
+        if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+            raise TypeError(value)
+        return tuple(convert(v) for v in value)
+    return converted
+
+
+def _names(value) -> tuple:
+    names = value.split(",") if isinstance(value, str) else value
+    return tuple(n.strip() for n in _list_of(_exactly(str))(names) if n.strip())
+
+
+def _choice(*choices) -> _Kind:
+    def converted(value):
+        if not (isinstance(value, str) and value in choices):
+            raise ValueError(value)
+        return value
+    return _Kind(f"one of {', '.join(choices)}", converted, {"choices": choices})
+
+
+_NUMBER = _Kind("a number", _number, {"type": float})
+_INTEGER = _Kind("an integer", _integer, {"type": int})
+_VECTOR = _Kind("a list of 3 numbers",
+                lambda value: np.array(_list_of(_number, 3)(value)),
+                {"type": float, "nargs": 3, "metavar": ("X", "Y", "Z")})
+_INTEGERS3 = _Kind("a list of 3 integers", _list_of(_integer, 3),
+                   {"type": int, "nargs": 3, "metavar": ("NX", "NY", "NZ")})
+_NUMBERS = _Kind("a list of numbers", _list_of(_number),
+                 {"type": float, "nargs": "+"})
+_PATH = _Kind("a path string", _exactly(str), {"metavar": "PATH"})
+_NAMES = _Kind("a comma-separated string or a list of names", _names,
+               {"metavar": "NAMES"})
+_FLAG = _Kind("true or false", _exactly(bool), {"action": "store_true"})
+
+_SYSTEM = [
+    ("omega_c_GHz", _NUMBER, None, "cavity frequency [GHz]"),
+    ("kappa_MHz", _NUMBER, None, "cavity HWHM linewidth [MHz]"),
+    ("omega_s_GHz", _NUMBER, None, "spin transition frequency [GHz]"),
+    ("gamma_star_MHz", _NUMBER, None, "spin HWHM linewidth [MHz]"),
+    ("Omega_MHz", _NUMBER, None, "collective coupling [MHz]"),
+]
+_REGION = [
+    ("region_center_mm", _VECTOR, None, "sample region center [mm]"),
+    ("region_extents_mm", _VECTOR, None, "sample region extents [mm]"),
+]
+_SPECIES = [
+    ("D_GHz", _NUMBER, constants.NV_ZERO_FIELD_SPLITTING_HZ / _SI["GHz"],
+     "zero-field splitting [GHz]"),
+    ("g_factor", _NUMBER, constants.NV_G_FACTOR, "electron g-factor"),
+]
+
+_OPTIONS = {
+    "design": [
+        ("A_mm2", _NUMBER, None, "capacitor plate area [mm^2]"),
+        ("d_mm", _NUMBER, None, "capacitor gap [mm]"),
+        ("l_mm", _NUMBER, None, "inductor path length [mm]"),
+        ("w_mm", _NUMBER, None, "inductor path width [mm]"),
+        ("k_L", _NUMBER, 1.0, "inductance calibration scale"),
+        ("epsilon_r", _NUMBER, 1.0, "relative permittivity of the gap"),
+        ("target_freq_GHz", _NUMBER, None,
+         "solve the gap for this eigenfrequency instead of using --d-mm"),
+        ("out", _PATH, "design_report.json", "JSON report path"),
+    ],
+    "spins": [
+        ("direction", _VECTOR, [0.0, 1.0, 0.0], "field direction, crystal frame"),
+        ("B_max_mT", _NUMBER, 20.0, "sweep maximum field [mT]"),
+        ("n_points", _INTEGER, 81, "sweep points"),
+        *_SPECIES,
+        ("tune_to_GHz", _NUMBER, None, "tune a transition to this frequency"),
+        ("branch", _choice("lower", "upper"), "upper", "branch to tune"),
+        ("out", _PATH, "spins_sweep.csv", "sweep CSV path"),
+    ],
+    "fieldmap": [
+        ("source", _choice("model", "file"), "model", "map source"),
+        ("infile", _PATH, None, "map CSV to ingest when source=file"),
+        ("sheet_length_mm", _NUMBER, None, "bow-tie sheet length [mm]"),
+        ("sheet_width_mm", _NUMBER, None, "bow-tie sheet width [mm]"),
+        ("sheet_gap_mm", _NUMBER, None, "gap between the sheets [mm]"),
+        ("surface_current_A_per_m", _NUMBER, 1.0, "sheet current [A/m]"),
+        ("grid_extents_mm", _VECTOR, None, "sampling grid extents [mm]"),
+        ("grid_dims", _INTEGERS3, None, "sampling grid nodes per axis"),
+        ("normalize_to_GHz", _NUMBER, None,
+         "rescale to the single-photon field of this mode frequency"),
+        *_REGION,
+        ("bins", _NUMBERS, fieldmap.DEFAULT_CONTOUR_BINS,
+         "homogeneity histogram bin edges (fractions)"),
+        ("out_map", _PATH, "fieldmap.csv", "map CSV path"),
+        ("out_report", _PATH, "homogeneity.json", "homogeneity JSON path"),
+    ],
+    "couple": [
+        ("map", _PATH, None, "normalized field-map CSV"),
+        ("density_ppm", _NUMBER, None, "NV density [ppm of carbon sites]"),
+        *_REGION,
+        *_SPECIES,
+        ("kappa_MHz", _NUMBER, None, "cavity HWHM linewidth, for C [MHz]"),
+        ("gamma_star_MHz", _NUMBER, None, "spin HWHM linewidth, for C [MHz]"),
+        ("Omega_MHz", _NUMBER, None, "measured collective coupling [MHz], "
+                                     "reported alongside the model value"),
+        ("out", _PATH, "coupling_report.json", "report JSON path"),
+    ],
+    "spectrum": [
+        *_SYSTEM,
+        ("f_min_GHz", _NUMBER, None, "lowest probe frequency [GHz]"),
+        ("f_max_GHz", _NUMBER, None, "highest probe frequency [GHz]"),
+        ("n_points", _INTEGER, 2001, "probe points"),
+        ("noise_fraction", _NUMBER, None, "multiplicative Gaussian noise level"),
+        ("seed", _INTEGER, None, "noise seed (required with --noise-fraction)"),
+        ("map2d", _FLAG, False, "sweep cavity detuning too (avoided crossing)"),
+        ("delta_min_MHz", _NUMBER, None, "lowest cavity detuning [MHz]"),
+        ("delta_max_MHz", _NUMBER, None, "highest cavity detuning [MHz]"),
+        ("n_delta", _INTEGER, None, "detuning points"),
+        ("probe_min_MHz", _NUMBER, None, "lowest probe offset [MHz]"),
+        ("probe_max_MHz", _NUMBER, None, "highest probe offset [MHz]"),
+        ("n_probe", _INTEGER, None, "probe points of the map"),
+        ("out", _PATH, None,
+         "CSV path (default spectrum.csv, or crossing_map.csv with --map2d)"),
+    ],
+    "fit": [
+        ("data", _PATH, None, "spectrum CSV (freq_Hz,S21_sq)"),
+        ("input_dB", _FLAG, False, "the data column is |S21|^2 in dB"),
+        *_SYSTEM,
+        ("free", _NAMES, None, "comma-separated free parameter names "
+                               "(default: the five system parameters; "
+                               "'amplitude' adds an overall scale)"),
+        ("initial_amplitude", _NUMBER, 1.0, "initial overall scale"),
+        ("max_iterations", _INTEGER, 200, "cap on the model evaluations"),
+        ("out", _PATH, "fit_result.json", "fit JSON path"),
+    ],
+    "constants": [],
+}
+
+
+def _resolve(args, config) -> dict:
+    """Each option's flag, else config value, else default, checked and in SI."""
+    section = config.get(args.command, {})
+    # --emit-plot-data is a flag only; it has never been read from a config.
+    opts = {"emit_plot_data": getattr(args, "emit_plot_data", False)}
+    for key, kind, default, _ in _OPTIONS[args.command]:
+        value = getattr(args, key)
         if value is None:
+            value = section.get(key)
+        if value is None:
+            value = default
+        if value is not None:
+            try:
+                value = kind.convert(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"key '{key}' must be {kind.text}, got "
+                                      f"{value!r}", module=_MODULE) from exc
+            scale = _SI.get(key.rsplit("_", 1)[-1])
+            if scale is not None:
+                value = value * scale
+        opts[key] = value
+    return opts
+
+
+def _require(opts, command, *keys) -> list:
+    """The values of ``keys``; a missing one is a validation error."""
+    for key in keys:
+        if opts[key] is None:
             flag = "--" + key.replace("_", "-")
             raise ValidationError(
                 f"missing required key '{key}' (flag {flag} or config "
-                f"section '{self._args.command}')", module=_MODULE)
-        return value
+                f"section '{command}')", module=_MODULE)
+    return [opts[key] for key in keys]
 
-    def _typed(self, key, kind, convert, default, required):
-        value = self.require(key) if required else self.get(key, default)
-        if value is None:
-            return None
-        try:
-            return convert(value)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"key '{key}' must be {kind}, got {value!r}",
-                                  module=_MODULE) from exc
 
-    def number(self, key, default=None, required=False):
-        return self._typed(key, "a number", float, default, required)
-
-    def integer(self, key, default=None, required=False):
-        return self._typed(key, "an integer", int, default, required)
-
-    def numbers(self, key):
-        return self._typed(key, "a list of numbers",
-                           lambda value: tuple(float(v) for v in value),
-                           None, False)
-
-    def vector3(self, key, default=None, required=False):
-        vec = self._typed(key, "a 3-vector of numbers",
-                          lambda value: np.asarray(value, dtype=float),
-                          default, required)
-        if vec is None:
-            return None
-        if vec.shape != (3,):
-            raise ValidationError(f"key '{key}' must be a 3-vector",
-                                  module=_MODULE)
-        return vec
-
-    def names(self, key):
-        return self._typed(key, "a comma-separated string or a list of names",
-                           _as_names, None, False)
-
-    def path(self, key, default=None, required=False):
-        return self._typed(key, "a path string", _as_path, default, required)
-
-    def input_path(self, key):
-        path = self.path(key, required=True)
-        if not os.path.exists(path):
-            raise ValidationError(f"input file for '{key}' not found: {path}",
-                                  module=_MODULE)
-        return path
+def _input_path(opts, command, key) -> str:
+    path = _require(opts, command, key)[0]
+    if not os.path.exists(path):
+        raise ValidationError(f"input file for '{key}' not found: {path}",
+                              module=_MODULE)
+    return path
 
 
 def _plot_path(out_path: str) -> str:
@@ -161,26 +280,17 @@ def _write_plot_rows(path, rows, comment: str) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _print_written(path) -> None:
-    print(f"wrote {path}")
-
-
-def cmd_design(args, config) -> int:
-    opts = _Resolver(args, config)
-    area = opts.number("A_mm2", required=True) * _MM2
-    length = opts.number("l_mm", required=True) * _MM
-    width = opts.number("w_mm", required=True) * _MM
-    k_l = opts.number("k_L", 1.0)
-    eps_r = opts.number("epsilon_r", 1.0)
-    target_ghz = opts.number("target_freq_GHz")
-    if target_ghz is not None:
+def cmd_design(opts) -> int:
+    area, length, width = _require(opts, "design", "A_mm2", "l_mm", "w_mm")
+    k_l, eps_r = opts["k_L"], opts["epsilon_r"]
+    target = opts["target_freq_GHz"]
+    if target is not None:
         probe = circuit.CavityGeometry(plate_area=area, gap=1e-3,
                                        path_length=length, path_width=width)
-        gap = circuit.gap_for_frequency(probe, target_ghz * _GHZ,
-                                        inductance_scale=k_l,
+        gap = circuit.gap_for_frequency(probe, target, inductance_scale=k_l,
                                         relative_permittivity=eps_r)
     else:
-        gap = opts.number("d_mm", required=True) * _MM
+        gap = _require(opts, "design", "d_mm")[0]
     geom = circuit.CavityGeometry(plate_area=area, gap=gap,
                                   path_length=length, path_width=width)
     params = circuit.eigenfrequency(geom, inductance_scale=k_l,
@@ -191,8 +301,8 @@ def cmd_design(args, config) -> int:
         "C_total_F": params.c_total, "L_total_H": params.l_total,
         "omega_c_rad_per_s": params.omega_c, "f_c_Hz": params.f_c,
     }
-    if target_ghz is not None:
-        report["target_freq_Hz"] = target_ghz * _GHZ
+    if target is not None:
+        report["target_freq_Hz"] = target
 
     rows = [("plate area", f"{area:.6g} m^2"),
             ("gap", f"{gap:.6g} m"),
@@ -204,10 +314,10 @@ def cmd_design(args, config) -> int:
     for name, value in rows:
         print(f"{name:<12} {value}")
 
-    out = opts.path("out", "design_report.json")
+    out = opts["out"]
     atomic_write_text(out, json.dumps(report, indent=2) + "\n")
-    _print_written(out)
-    if args.emit_plot_data:
+    print(f"wrote {out}")
+    if opts["emit_plot_data"]:
         gaps = np.linspace(0.5 * gap, 1.5 * gap, 51)
         sweep = []
         for d in gaps:
@@ -217,34 +327,33 @@ def cmd_design(args, config) -> int:
                 g, inductance_scale=k_l, relative_permittivity=eps_r).f_c))
         plot = _plot_path(out)
         _write_plot_rows(plot, sweep, "gap_m f_c_Hz")
-        _print_written(plot)
+        print(f"wrote {plot}")
     return 0
 
 
-def cmd_spins(args, config) -> int:
-    opts = _Resolver(args, config)
-    species = nvspin.SpinSpecies(
-        zero_field_splitting=opts.number("D_GHz", 2.87) * _GHZ,
-        g_factor=opts.number("g_factor", 2.0028))
-    direction = opts.vector3("direction", default=[0.0, 1.0, 0.0])
-    b_max = opts.number("B_max_mT", 20.0) * 1e-3
-    n_points = opts.integer("n_points", 81)
+def _species(opts) -> nvspin.SpinSpecies:
+    return nvspin.SpinSpecies(zero_field_splitting=opts["D_GHz"],
+                              g_factor=opts["g_factor"])
+
+
+def cmd_spins(opts) -> int:
+    species = _species(opts)
+    direction = opts["direction"]
+    b_max, n_points = opts["B_max_mT"], opts["n_points"]
     if n_points < 2 or b_max <= 0:
         raise ValidationError("sweep needs B_max_mT > 0 and n_points >= 2",
                               module=_MODULE)
     b_values = np.linspace(0.0, b_max, n_points)
 
-    tune_ghz = opts.number("tune_to_GHz")
-    if tune_ghz is not None:
-        branch = opts.get("branch", "upper")
+    if opts["tune_to_GHz"] is not None:
         b_star = nvspin.zeeman_tune(species, nvspin.NV_AXES, direction,
-                                    tune_ghz * _GHZ, which=branch)
+                                    opts["tune_to_GHz"], which=opts["branch"])
         print(f"tuned_B_T={b_star:.17g}")
 
-    out = opts.path("out", "spins_sweep.csv")
+    out = opts["out"]
     nvspin.write_transition_sweep(out, species, direction, b_values)
-    _print_written(out)
-    if args.emit_plot_data:
+    print(f"wrote {out}")
+    if opts["emit_plot_data"]:
         rows = []
         for b_mag in b_values:
             levels = nvspin.transition_frequencies(species, nvspin.NV_AXES[0],
@@ -254,99 +363,75 @@ def cmd_spins(args, config) -> int:
         plot = _plot_path(out)
         _write_plot_rows(plot, rows,
                          "B_T f_lower_Hz f_upper_Hz (sub-ensemble 0)")
-        _print_written(plot)
+        print(f"wrote {plot}")
     return 0
 
 
-def _fieldmap_from_opts(opts) -> fieldmap.FieldMap:
-    source = opts.get("source", "model")
-    if source == "file":
-        return fieldmap.ingest_map(opts.input_path("infile"))
-    if source != "model":
-        raise ValidationError("source must be 'model' or 'file'",
-                              module=_MODULE)
-    sheets = fieldmap.bowtie_sheet_pair(
-        length=opts.number("sheet_length_mm", required=True) * _MM,
-        width=opts.number("sheet_width_mm", required=True) * _MM,
-        gap=opts.number("sheet_gap_mm", required=True) * _MM,
-        surface_current=opts.number("surface_current_A_per_m", 1.0))
-    extents = opts.vector3("grid_extents_mm", required=True) * _MM
-    dims = opts.vector3("grid_dims", required=True)
-    grid = fieldmap.GridSpec.centered(extents, tuple(int(n) for n in dims))
-    return fieldmap.biot_savart_map(sheets, grid)
+def cmd_fieldmap(opts) -> int:
+    center, extents = opts["region_center_mm"], opts["region_extents_mm"]
+    if center is not None or extents is not None:
+        _require(opts, "fieldmap", "region_center_mm", "region_extents_mm")
+    if opts["source"] == "file":
+        fmap = fieldmap.ingest_map(_input_path(opts, "fieldmap", "infile"))
+    else:
+        _require(opts, "fieldmap", "sheet_length_mm", "sheet_width_mm",
+                 "sheet_gap_mm", "grid_extents_mm", "grid_dims")
+        sheets = fieldmap.bowtie_sheet_pair(
+            length=opts["sheet_length_mm"], width=opts["sheet_width_mm"],
+            gap=opts["sheet_gap_mm"],
+            surface_current=opts["surface_current_A_per_m"])
+        grid = fieldmap.GridSpec.centered(opts["grid_extents_mm"],
+                                          opts["grid_dims"])
+        fmap = fieldmap.biot_savart_map(sheets, grid)
+    if opts["normalize_to_GHz"] is not None:
+        fmap = fieldmap.normalize_to_vacuum(fmap, opts["normalize_to_GHz"])
 
-
-def cmd_fieldmap(args, config) -> int:
-    opts = _Resolver(args, config)
-    fmap = _fieldmap_from_opts(opts)
-    norm_ghz = opts.number("normalize_to_GHz")
-    if norm_ghz is not None:
-        fmap = fieldmap.normalize_to_vacuum(fmap, norm_ghz * _GHZ)
-
-    out_map = opts.path("out_map", "fieldmap.csv")
+    out_map = opts["out_map"]
     fieldmap.export_map(out_map, fmap)
-    _print_written(out_map)
+    print(f"wrote {out_map}")
 
-    center = opts.vector3("region_center_mm")
-    extents = opts.vector3("region_extents_mm")
-    if (center is None) != (extents is None):
-        raise ValidationError("region_center_mm and region_extents_mm must "
-                              "be given together", module=_MODULE)
     if center is not None:
-        region = fieldmap.SampleRegion(center=center * _MM,
-                                       extents=extents * _MM)
-        bins = opts.numbers("bins")
-        if bins is None:
-            report = fieldmap.homogeneity(fmap, region)
-        else:
-            report = fieldmap.homogeneity(fmap, region, bins=bins)
-        out_report = opts.path("out_report", "homogeneity.json")
+        region = fieldmap.SampleRegion(center=center, extents=extents)
+        report = fieldmap.homogeneity(fmap, region, bins=opts["bins"])
+        out_report = opts["out_report"]
         atomic_write_text(out_report, json.dumps(report.as_dict(), indent=2) + "\n")
-        _print_written(out_report)
+        print(f"wrote {out_report}")
         print(f"mean |B| = {report.mean_field_t:.6g} T, "
               f"rms deviation = {report.rms_deviation:.4%}, "
               f"max deviation = {report.max_deviation:.4%}")
-        if args.emit_plot_data:
+        if opts["emit_plot_data"]:
             rows = [(edge, fraction) if math.isfinite(edge)
                     else (10.0 * report.max_deviation + 1.0, fraction)
                     for edge, fraction in report.contour_histogram]
             plot = _plot_path(out_report)
             _write_plot_rows(plot, rows, "deviation_bin_edge volume_fraction")
-            _print_written(plot)
+            print(f"wrote {plot}")
     return 0
 
 
-def cmd_couple(args, config) -> int:
-    opts = _Resolver(args, config)
-    fmap = fieldmap.ingest_map(opts.input_path("map"))
-    center = opts.vector3("region_center_mm", required=True) * _MM
-    extents = opts.vector3("region_extents_mm", required=True) * _MM
+def cmd_couple(opts) -> int:
+    fmap = fieldmap.ingest_map(_input_path(opts, "couple", "map"))
+    _require(opts, "couple", "region_center_mm", "region_extents_mm",
+             "density_ppm")
     ens = coupling.EnsembleSpec(
-        density_ppm=opts.number("density_ppm", required=True),
-        region=fieldmap.SampleRegion(center=center, extents=extents))
-    species = nvspin.SpinSpecies(
-        zero_field_splitting=opts.number("D_GHz", 2.87) * _GHZ,
-        g_factor=opts.number("g_factor", 2.0028))
-
-    kappa_mhz = opts.number("kappa_MHz")
-    gamma_mhz = opts.number("gamma_star_MHz")
-    kappa = None if kappa_mhz is None else kappa_mhz * _MHZ
-    gamma_star = None if gamma_mhz is None else gamma_mhz * _MHZ
-    report = coupling.coupling_report(fmap, ens, species=species,
+        density_ppm=opts["density_ppm"],
+        region=fieldmap.SampleRegion(center=opts["region_center_mm"],
+                                     extents=opts["region_extents_mm"]))
+    kappa, gamma_star = opts["kappa_MHz"], opts["gamma_star_MHz"]
+    report = coupling.coupling_report(fmap, ens, species=_species(opts),
                                       kappa=kappa, gamma_star=gamma_star)
     payload = report.as_dict()
 
-    omega_mhz = opts.number("Omega_MHz")
-    if omega_mhz is not None:
-        omega_meas = omega_mhz * _MHZ
+    omega_meas = opts["Omega_MHz"]
+    if omega_meas is not None:
         payload["Omega_measured_Hz"] = omega_meas
         if kappa is not None and gamma_star is not None:
             payload["cooperativity_measured"] = coupling.cooperativity(
                 omega_meas, kappa, gamma_star)
 
-    out = opts.path("out", "coupling_report.json")
+    out = opts["out"]
     atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
-    _print_written(out)
+    print(f"wrote {out}")
     print(f"g0 mean = {report.g0_mean:.6g} Hz, N = {report.n_spins:.6g}, "
           f"Omega = {report.omega:.6g} Hz")
     if report.cooperativity is not None:
@@ -354,30 +439,24 @@ def cmd_couple(args, config) -> int:
     return 0
 
 
-def _system_from_opts(opts) -> spectroscopy.CoupledSystem:
-    return spectroscopy.CoupledSystem(
-        omega_c=opts.number("omega_c_GHz", required=True) * _GHZ,
-        kappa=opts.number("kappa_MHz", required=True) * _MHZ,
-        omega_s=opts.number("omega_s_GHz", required=True) * _GHZ,
-        gamma_star=opts.number("gamma_star_MHz", required=True) * _MHZ,
-        Omega=opts.number("Omega_MHz", required=True) * _MHZ)
+def _system_from_opts(opts, command) -> spectroscopy.CoupledSystem:
+    keys = [key for key, *_ in _SYSTEM]
+    return spectroscopy.CoupledSystem(*_require(opts, command, *keys))
 
 
-def cmd_spectrum(args, config) -> int:
-    opts = _Resolver(args, config)
-    sys_ = _system_from_opts(opts)
-    if opts.flag("map2d"):
-        delta = (opts.number("delta_min_MHz", required=True) * _MHZ,
-                 opts.number("delta_max_MHz", required=True) * _MHZ)
-        probe = (opts.number("probe_min_MHz", required=True) * _MHZ,
-                 opts.number("probe_max_MHz", required=True) * _MHZ)
-        dims = (opts.integer("n_delta", required=True),
-                opts.integer("n_probe", required=True))
-        grid = spectroscopy.avoided_crossing_map(sys_, delta, probe, dims)
-        out = opts.path("out", "crossing_map.csv")
+def cmd_spectrum(opts) -> int:
+    sys_ = _system_from_opts(opts, "spectrum")
+    if opts["map2d"]:
+        keys = ("delta_min_MHz", "delta_max_MHz", "probe_min_MHz",
+                "probe_max_MHz", "n_delta", "n_probe")
+        d_min, d_max, p_min, p_max, n_delta, n_probe = _require(
+            opts, "spectrum", *keys)
+        grid = spectroscopy.avoided_crossing_map(
+            sys_, (d_min, d_max), (p_min, p_max), (n_delta, n_probe))
+        out = opts["out"] if opts["out"] is not None else "crossing_map.csv"
         spectroscopy.write_grid(out, grid)
-        _print_written(out)
-        if args.emit_plot_data:
+        print(f"wrote {out}")
+        if opts["emit_plot_data"]:
             rows = []
             for i, d in enumerate(grid.delta_s_hz):
                 rows.extend((d, nu, grid.s21_sq[i, j])
@@ -385,60 +464,53 @@ def cmd_spectrum(args, config) -> int:
                 rows.append(None)
             plot = _plot_path(out)
             _write_plot_rows(plot, rows, "delta_s_Hz nu_p_Hz S21_sq")
-            _print_written(plot)
+            print(f"wrote {plot}")
         return 0
 
-    f_min = opts.number("f_min_GHz", required=True) * _GHZ
-    f_max = opts.number("f_max_GHz", required=True) * _GHZ
-    n_points = opts.integer("n_points", 2001)
-    spec = spectroscopy.spectrum(sys_, f_min, f_max, n_points)
-    noise = opts.number("noise_fraction")
-    if noise is not None:
-        seed = opts.integer("seed")
-        if seed is None:
-            raise ValidationError("noise_fraction requires an explicit seed",
-                                  module=_MODULE)
-        spec = spectroscopy.with_multiplicative_noise(spec, noise, seed)
-    out = opts.path("out", "spectrum.csv")
+    _require(opts, "spectrum", "f_min_GHz", "f_max_GHz")
+    spec = spectroscopy.spectrum(sys_, opts["f_min_GHz"], opts["f_max_GHz"],
+                                 opts["n_points"])
+    if opts["noise_fraction"] is not None:
+        _require(opts, "spectrum", "seed")
+        spec = spectroscopy.with_multiplicative_noise(
+            spec, opts["noise_fraction"], opts["seed"])
+    out = opts["out"] if opts["out"] is not None else "spectrum.csv"
     spectroscopy.write_spectrum(out, spec)
-    _print_written(out)
-    if args.emit_plot_data:
+    print(f"wrote {out}")
+    if opts["emit_plot_data"]:
         plot = _plot_path(out)
         _write_plot_rows(plot, zip(spec.freq_hz, spec.s21_sq),
                          "freq_Hz S21_sq")
-        _print_written(plot)
+        print(f"wrote {plot}")
     return 0
 
 
-def cmd_fit(args, config) -> int:
-    opts = _Resolver(args, config)
-    in_db = opts.flag("input_dB")
-    data = spectroscopy.read_spectrum(opts.input_path("data"),
-                                      magnitude="dB" if in_db else "linear")
-    initial = _system_from_opts(opts)
-    free = opts.names("free")
+def cmd_fit(opts) -> int:
+    data = spectroscopy.read_spectrum(
+        _input_path(opts, "fit", "data"),
+        magnitude="dB" if opts["input_dB"] else "linear")
     result = spectroscopy.fit_spectrum(
-        data, initial, free=free,
-        initial_amplitude=opts.number("initial_amplitude", 1.0),
-        max_iterations=opts.integer("max_iterations", 200))
+        data, _system_from_opts(opts, "fit"), free=opts["free"],
+        initial_amplitude=opts["initial_amplitude"],
+        max_iterations=opts["max_iterations"])
 
-    out = opts.path("out", "fit_result.json")
+    out = opts["out"]
     spectroscopy.write_fit_result(out, result)
-    _print_written(out)
+    print(f"wrote {out}")
     print(f"Omega = {result.system.Omega:.6g} Hz, "
           f"kappa = {result.system.kappa:.6g} Hz, "
           f"gamma_star = {result.system.gamma_star:.6g} Hz, "
           f"residual = {result.residual:.6g}")
-    if args.emit_plot_data:
+    if opts["emit_plot_data"]:
         model = spectroscopy.s21_squared(result.system, data.freq_hz)
         rows = zip(data.freq_hz, data.s21_sq, result.amplitude * model)
         plot = _plot_path(out)
         _write_plot_rows(plot, rows, "freq_Hz S21_sq_data S21_sq_model")
-        _print_written(plot)
+        print(f"wrote {plot}")
     return 0
 
 
-def cmd_constants(args, config) -> int:
+def cmd_constants(opts) -> int:
     for entry in constants.registry():
         print(f"{entry['name']:<26} {entry['value']:<25.17g} "
               f"{entry['unit']:<14} {entry['description']}")
@@ -446,13 +518,13 @@ def cmd_constants(args, config) -> int:
 
 
 _COMMANDS = {
-    "design": cmd_design,
-    "spins": cmd_spins,
-    "fieldmap": cmd_fieldmap,
-    "couple": cmd_couple,
-    "spectrum": cmd_spectrum,
-    "fit": cmd_fit,
-    "constants": cmd_constants,
+    "design": (cmd_design, "lumped-element resonator parameters"),
+    "spins": (cmd_spins, "NV transition sweep and Zeeman tuning"),
+    "fieldmap": (cmd_fieldmap, "generate or ingest a field map"),
+    "couple": (cmd_couple, "ensemble coupling report"),
+    "spectrum": (cmd_spectrum, "simulate transmission"),
+    "fit": (cmd_fit, "fit the transmission model to a spectrum"),
+    "constants": (cmd_constants, "print the physical-constants registry"),
 }
 
 
@@ -465,136 +537,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"JSON config file (default from "
                              f"${_CONFIG_ENV_VAR})")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("design", help="lumped-element resonator parameters")
-    p.add_argument("--A-mm2", dest="A_mm2", type=float,
-                   help="capacitor plate area [mm^2]")
-    p.add_argument("--d-mm", dest="d_mm", type=float,
-                   help="capacitor gap [mm]")
-    p.add_argument("--l-mm", dest="l_mm", type=float,
-                   help="inductor path length [mm]")
-    p.add_argument("--w-mm", dest="w_mm", type=float,
-                   help="inductor path width [mm]")
-    p.add_argument("--k-L", dest="k_L", type=float,
-                   help="inductance calibration scale (default 1)")
-    p.add_argument("--epsilon-r", dest="epsilon_r", type=float,
-                   help="relative permittivity of the gap (default 1)")
-    p.add_argument("--target-freq-GHz", dest="target_freq_GHz", type=float,
-                   help="solve the gap for this eigenfrequency instead of "
-                        "using --d-mm")
-    p.add_argument("--out", help="JSON report path")
-
-    p = sub.add_parser("spins", help="NV transition sweep and Zeeman tuning")
-    p.add_argument("--direction", nargs=3, type=float, metavar=("X", "Y", "Z"),
-                   help="static field direction in the crystal frame")
-    p.add_argument("--B-max-mT", dest="B_max_mT", type=float,
-                   help="sweep maximum field [mT]")
-    p.add_argument("--n-points", dest="n_points", type=int,
-                   help="sweep points")
-    p.add_argument("--D-GHz", dest="D_GHz", type=float,
-                   help="zero-field splitting [GHz] (default 2.87)")
-    p.add_argument("--g-factor", dest="g_factor", type=float,
-                   help="electron g-factor (default 2.0028)")
-    p.add_argument("--tune-to-GHz", dest="tune_to_GHz", type=float,
-                   help="solve the field magnitude reaching this transition")
-    p.add_argument("--branch", choices=("lower", "upper"),
-                   help="transition branch for tuning (default upper)")
-    p.add_argument("--out", help="sweep CSV path")
-
-    p = sub.add_parser("fieldmap", help="generate or ingest a field map")
-    p.add_argument("--source", choices=("model", "file"),
-                   help="map source (default model)")
-    p.add_argument("--infile", help="map CSV to ingest when source=file")
-    p.add_argument("--sheet-length-mm", dest="sheet_length_mm", type=float)
-    p.add_argument("--sheet-width-mm", dest="sheet_width_mm", type=float)
-    p.add_argument("--sheet-gap-mm", dest="sheet_gap_mm", type=float)
-    p.add_argument("--surface-current-A-per-m", dest="surface_current_A_per_m",
-                   type=float, help="sheet current density (default 1)")
-    p.add_argument("--grid-extents-mm", dest="grid_extents_mm", nargs=3,
-                   type=float, metavar=("EX", "EY", "EZ"))
-    p.add_argument("--grid-dims", dest="grid_dims", nargs=3, type=int,
-                   metavar=("NX", "NY", "NZ"))
-    p.add_argument("--normalize-to-GHz", dest="normalize_to_GHz", type=float,
-                   help="rescale to the single-photon field of this mode "
-                        "frequency")
-    p.add_argument("--region-center-mm", dest="region_center_mm", nargs=3,
-                   type=float, metavar=("CX", "CY", "CZ"))
-    p.add_argument("--region-extents-mm", dest="region_extents_mm", nargs=3,
-                   type=float, metavar=("EX", "EY", "EZ"))
-    p.add_argument("--bins", nargs="+", type=float,
-                   help="homogeneity histogram bin edges (fractions)")
-    p.add_argument("--out-map", dest="out_map", help="map CSV path")
-    p.add_argument("--out-report", dest="out_report",
-                   help="homogeneity JSON path")
-
-    p = sub.add_parser("couple", help="ensemble coupling report")
-    p.add_argument("--map", help="normalized field-map CSV")
-    p.add_argument("--density-ppm", dest="density_ppm", type=float,
-                   help="NV density [ppm of carbon sites]")
-    p.add_argument("--region-center-mm", dest="region_center_mm", nargs=3,
-                   type=float, metavar=("CX", "CY", "CZ"))
-    p.add_argument("--region-extents-mm", dest="region_extents_mm", nargs=3,
-                   type=float, metavar=("EX", "EY", "EZ"))
-    p.add_argument("--D-GHz", dest="D_GHz", type=float)
-    p.add_argument("--g-factor", dest="g_factor", type=float)
-    p.add_argument("--kappa-MHz", dest="kappa_MHz", type=float,
-                   help="cavity HWHM linewidth [MHz] (for cooperativity)")
-    p.add_argument("--gamma-star-MHz", dest="gamma_star_MHz", type=float,
-                   help="spin HWHM linewidth [MHz] (for cooperativity)")
-    p.add_argument("--Omega-MHz", dest="Omega_MHz", type=float,
-                   help="measured collective coupling [MHz], reported "
-                        "alongside the model value")
-    p.add_argument("--out", help="report JSON path")
-
-    p = sub.add_parser("spectrum", help="simulate transmission")
-    for flag, dest in (("--omega-c-GHz", "omega_c_GHz"),
-                       ("--kappa-MHz", "kappa_MHz"),
-                       ("--omega-s-GHz", "omega_s_GHz"),
-                       ("--gamma-star-MHz", "gamma_star_MHz"),
-                       ("--Omega-MHz", "Omega_MHz")):
-        p.add_argument(flag, dest=dest, type=float)
-    p.add_argument("--f-min-GHz", dest="f_min_GHz", type=float)
-    p.add_argument("--f-max-GHz", dest="f_max_GHz", type=float)
-    p.add_argument("--n-points", dest="n_points", type=int)
-    p.add_argument("--noise-fraction", dest="noise_fraction", type=float,
-                   help="multiplicative Gaussian noise level")
-    p.add_argument("--seed", type=int, help="noise seed (required with "
-                                            "--noise-fraction)")
-    p.add_argument("--map2d", action="store_true",
-                   help="sweep cavity detuning too (avoided-crossing map)")
-    p.add_argument("--delta-min-MHz", dest="delta_min_MHz", type=float)
-    p.add_argument("--delta-max-MHz", dest="delta_max_MHz", type=float)
-    p.add_argument("--n-delta", dest="n_delta", type=int)
-    p.add_argument("--probe-min-MHz", dest="probe_min_MHz", type=float)
-    p.add_argument("--probe-max-MHz", dest="probe_max_MHz", type=float)
-    p.add_argument("--n-probe", dest="n_probe", type=int)
-    p.add_argument("--out", help="CSV path")
-
-    p = sub.add_parser("fit", help="fit the transmission model to a spectrum")
-    p.add_argument("--data", help="spectrum CSV (freq_Hz,S21_sq)")
-    p.add_argument("--input-dB", dest="input_dB", action="store_true",
-                   help="data column is |S21|^2 in dB; convert to linear")
-    for flag, dest in (("--omega-c-GHz", "omega_c_GHz"),
-                       ("--kappa-MHz", "kappa_MHz"),
-                       ("--omega-s-GHz", "omega_s_GHz"),
-                       ("--gamma-star-MHz", "gamma_star_MHz"),
-                       ("--Omega-MHz", "Omega_MHz")):
-        p.add_argument(flag, dest=dest, type=float,
-                       help="initial guess")
-    p.add_argument("--free", help="comma-separated free parameter names "
-                                  "(default: the five system parameters; "
-                                  "'amplitude' adds an overall scale)")
-    p.add_argument("--initial-amplitude", dest="initial_amplitude", type=float)
-    p.add_argument("--max-iterations", dest="max_iterations", type=int,
-                   help="cap on the solver's model evaluations (default 200)")
-    p.add_argument("--out", help="fit JSON path")
-
-    sub.add_parser("constants", help="print the physical-constants registry")
-
-    for name, p in sub.choices.items():
-        if name != "constants":
-            p.add_argument("--emit-plot-data", dest="emit_plot_data",
-                           action="store_true",
+    for command, (_, command_help) in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        for key, kind, default, text in _OPTIONS[command]:
+            if default is not None and default is not False:
+                text = f"{text} (default {default})"
+            # default=None tells an absent flag from a given one.
+            p.add_argument("--" + key.replace("_", "-"), default=None,
+                           help=text, **kind.argparse)
+        if command != "constants":
+            p.add_argument("--emit-plot-data", action="store_true",
                            help="also write gnuplot-ready column files")
     return parser
 
@@ -604,7 +556,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command][0](_resolve(args, config))
     except ToolkitError as exc:
         print(f"ERROR:{exc.module}:{exc.code}: {exc}", file=sys.stderr)
         return 1

@@ -490,11 +490,11 @@ def weighted_deviations(values: np.ndarray, weights: np.ndarray):
     return mean, rms, float(np.max(np.abs(dev[weights > 0]))), dev
 
 
-_DEFAULT_CONTOUR_BINS = (0.01, 0.02, 0.05, 0.10)
+DEFAULT_CONTOUR_BINS = (0.01, 0.02, 0.05, 0.10)
 
 
 def homogeneity(fmap: FieldMap, region: SampleRegion,
-                bins=_DEFAULT_CONTOUR_BINS) -> HomogeneityReport:
+                bins=DEFAULT_CONTOUR_BINS) -> HomogeneityReport:
     """Volume-weighted homogeneity statistics of |B| over a region.
 
     rms_deviation and max_deviation are fractions of the region mean;

@@ -37,15 +37,12 @@ class SpinSpecies:
 
     zero_field_splitting: float = NV_ZERO_FIELD_SPLITTING_HZ
     g_factor: float = NV_G_FACTOR
-    spin: int = 1
 
     def __post_init__(self):
         if self.zero_field_splitting <= 0:
             raise DomainError("zero_field_splitting must be > 0", module=_MODULE)
         if self.g_factor <= 0:
             raise DomainError("g_factor must be > 0", module=_MODULE)
-        if self.spin != 1:
-            raise DomainError("only spin 1 is supported", module=_MODULE)
 
     @property
     def zeeman_hz_per_t(self) -> float:

@@ -344,13 +344,15 @@ def fit_spectrum(data: Spectrum, initial: CoupledSystem, free=None,
     One unbounded Levenberg-Marquardt solve (scipy ``least_squares``,
     ``method="lm"``) runs with the exact Jacobian of the model, in the
     coordinates p / p0 for the frequencies and Omega and log(p / p0) for
-    kappa, gamma* and A0, which keeps those three positive.  ``max_iterations`` caps the solver's model
-    evaluations; ``n_iterations`` reports how many it made.  The model
-    depends on Omega only through Omega^2, so |Omega| is reported, and
-    a start at Omega = 0 stays there.  Raises a fit-convergence error
-    when the cap stops the solver, or when it ends at a non-positive
-    frequency or a non-finite value; its ``best`` holds the final
-    state, or the start when the final state is not physical.
+    kappa, gamma* and A0, which keeps those three positive.
+    ``max_iterations`` caps the solver's model evaluations;
+    ``n_iterations`` reports how many it made.  The model depends on
+    Omega only through Omega^2, so |Omega| is reported; a free Omega
+    cannot leave 0, so a start there is a domain error.  Raises a
+    fit-convergence error when the cap stops the solver, or when it ends
+    at a non-positive frequency or a non-finite value; its ``best``
+    holds the final state, or the start when the final state is not
+    physical.
     """
     if free is None:
         free = _PARAM_NAMES
@@ -363,6 +365,9 @@ def fit_spectrum(data: Spectrum, initial: CoupledSystem, free=None,
         raise DomainError("at least one parameter must be free", module=_MODULE)
     if not (initial_amplitude > 0 and math.isfinite(initial_amplitude)):
         raise DomainError("initial_amplitude must be > 0", module=_MODULE)
+    if "Omega" in free and initial.Omega == 0:
+        raise DomainError("a free Omega cannot start at 0, where its "
+                          "Jacobian column vanishes", module=_MODULE)
     if max_iterations < 1:
         raise DomainError("max_iterations must be >= 1", module=_MODULE)
     if data.freq_hz.size <= len(free):
@@ -393,8 +398,8 @@ def fit_spectrum(data: Spectrum, initial: CoupledSystem, free=None,
             lambda x: _model_and_jacobian(freqs, unpack(x))[0] - data.s21_sq,
             np.where(logged, 0.0, 1.0), jac=jacobian, method="lm",
             xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=max_iterations)
+        p = unpack(sol.x)
 
-    p = unpack(sol.x)
     p[4] = abs(p[4])
     # Omega is now >= 0; every other parameter must be positive.
     physical = bool(np.all(np.isfinite(p)) and np.all(np.delete(p, 4) > 0))

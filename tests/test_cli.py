@@ -439,6 +439,31 @@ class TestErrorProtocol:
                               "--omega-c-GHz", 3.121, "--kappa-MHz", 1.91,
                               "--omega-s-GHz", 3.121,
                               "--gamma-star-MHz", 3.0, "--Omega-MHz", 12.46]),
+        ("fit", {"input_dB": "false"}, ["--data", "spectrum.csv",
+                                        "--omega-c-GHz", 3.121,
+                                        "--kappa-MHz", 1.91,
+                                        "--omega-s-GHz", 3.121,
+                                        "--gamma-star-MHz", 3.0,
+                                        "--Omega-MHz", 12.46]),
+        ("spectrum", {"map2d": "no"}, ["--omega-c-GHz", 3.121,
+                                       "--kappa-MHz", 1.91,
+                                       "--omega-s-GHz", 3.121,
+                                       "--gamma-star-MHz", 3.0,
+                                       "--Omega-MHz", 12.46,
+                                       "--delta-min-MHz", -5,
+                                       "--delta-max-MHz", 5, "--n-delta", 3,
+                                       "--probe-min-MHz", -30,
+                                       "--probe-max-MHz", 30, "--n-probe", 5,
+                                       "--f-min-GHz", 3.091,
+                                       "--f-max-GHz", 3.151]),
+        ("spins", {"n_points": 5.9}, []),
+        ("fieldmap", {"grid_dims": [3.9, 3, 3]}, ["--sheet-length-mm", 8,
+                                                  "--sheet-width-mm", 6.6,
+                                                  "--sheet-gap-mm", 1.27,
+                                                  "--grid-extents-mm",
+                                                  2, 2, 0.8]),
+        ("design", {"A_mm2": True}, ["--l-mm", 10, "--w-mm", 2,
+                                     "--d-mm", 1]),
     ])
     def test_malformed_config_value_names_the_key(self, tmp_path, capsys,
                                                   monkeypatch, command,

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -388,6 +389,27 @@ class TestFitSpectrum:
                        - residual({**params, name: params[name] - h})) / (2 * h)
             scale = np.max(np.abs(column))
             assert np.max(np.abs(column - numeric)) <= 1e-6 * scale, name
+
+    def test_free_omega_cannot_start_at_zero(self):
+        # The Omega column of the Jacobian, 2 Omega t / D, vanishes at 0.
+        data = sp.with_multiplicative_noise(reference_spectrum(1201), 0.01,
+                                            seed=3)
+        start = replace(self.offset_guess(), Omega=0.0)
+        with pytest.raises(DomainError, match="Omega"):
+            sp.fit_spectrum(data, start)
+        held = sp.fit_spectrum(data, start, free=("omega_c", "kappa"))
+        assert held.system.Omega == 0.0
+
+    def test_overflowing_start_leaks_no_warning(self):
+        # From Omega = 1 Hz the solver tries steps whose log-coordinate
+        # exp() overflows; that must stay inside the fit.
+        data = sp.with_multiplicative_noise(reference_spectrum(1201), 0.01,
+                                            seed=3)
+        start = replace(self.offset_guess(), Omega=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitConvergenceError):
+                sp.fit_spectrum(data, start)
 
     def test_iteration_cap_raises_with_best_state(self):
         data = reference_spectrum(601)
