@@ -214,7 +214,9 @@ _OPTIONS = {
         ("free", _NAMES, None, "comma-separated free parameter names "
                                "(default: the five system parameters; "
                                "'amplitude' adds an overall scale)"),
-        ("initial_amplitude", _NUMBER, 1.0, "initial overall scale"),
+        ("initial_amplitude", _NUMBER, None,
+         "initial overall scale (default: the least-squares scale of the "
+         "start model when 'amplitude' is free, else 1)"),
         ("max_iterations", _INTEGER, 200, "cap on the model evaluations"),
         ("out", _PATH, "fit_result.json", "fit JSON path"),
     ],

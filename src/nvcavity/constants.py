@@ -2,16 +2,17 @@
 
 Every derived number in the toolkit traces back to the values below, so
 they live in one place and can be printed with ``nvcavity constants``.
-CODATA values are taken from :mod:`scipy.constants`.
+The five CODATA values are CODATA 2022 literals, checked bit for bit
+against :mod:`scipy.constants` by a test, so results no longer depend on
+which CODATA table the installed scipy carries, and importing the
+toolkit does not import scipy.
 """
 
-from scipy import constants as _sc
-
-EPSILON_0 = _sc.epsilon_0  # vacuum permittivity [F/m]
-MU_0 = _sc.mu_0  # vacuum permeability [H/m]
-PLANCK_H = _sc.h  # Planck constant [J s]
-HBAR = _sc.hbar  # reduced Planck constant [J s]
-BOHR_MAGNETON = _sc.physical_constants["Bohr magneton"][0]  # [J/T]
+EPSILON_0 = 8.8541878188e-12  # vacuum permittivity [F/m]
+MU_0 = 1.25663706127e-06  # vacuum permeability [H/m]
+PLANCK_H = 6.62607015e-34  # Planck constant [J s] (exact)
+HBAR = 1.0545718176461565e-34  # reduced Planck constant h / 2 pi [J s]
+BOHR_MAGNETON = 9.2740100657e-24  # Bohr magneton [J/T]
 
 # NV defaults; both are overridable through SpinSpecies.
 NV_ZERO_FIELD_SPLITTING_HZ = 2.87e9  # D/h [Hz]

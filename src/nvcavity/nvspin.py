@@ -65,10 +65,6 @@ class SpinLevels:
     f_upper: float
     ground_ambiguous: bool = False
 
-    @property
-    def transition_freqs(self) -> tuple[float, float]:
-        return (self.f_lower, self.f_upper)
-
 
 def _unit_vector(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)

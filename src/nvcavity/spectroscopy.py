@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from ._fileio import atomic_write_text
 from .errors import (DomainError, FitConvergenceError, NoSplittingError,
@@ -334,13 +333,16 @@ def _model_and_jacobian(freqs: np.ndarray, p: np.ndarray):
 
 
 def fit_spectrum(data: Spectrum, initial: CoupledSystem, free=None,
-                 initial_amplitude: float = 1.0,
+                 initial_amplitude: float | None = None,
                  max_iterations: int = 200) -> FitResult:
     """Least-squares fit of the transmission model to a spectrum.
 
     ``free`` names the parameters allowed to vary (default: the five
     system parameters; add "amplitude" to fit an overall scale A0 for
     data that is not normalized to unit bare-cavity transmission).
+    A0 starts at ``initial_amplitude``; when that is None it starts at 1
+    if A0 is fixed, and at the least-squares scale of the start model,
+    (m . d) / (m . m), if A0 is free.
     One unbounded Levenberg-Marquardt solve (scipy ``least_squares``,
     ``method="lm"``) runs with the exact Jacobian of the model, in the
     coordinates p / p0 for the frequencies and Omega and log(p / p0) for
@@ -363,8 +365,6 @@ def fit_spectrum(data: Spectrum, initial: CoupledSystem, free=None,
                           f"{list(_FIT_PARAM_NAMES)}", module=_MODULE)
     if not free:
         raise DomainError("at least one parameter must be free", module=_MODULE)
-    if not (initial_amplitude > 0 and math.isfinite(initial_amplitude)):
-        raise DomainError("initial_amplitude must be > 0", module=_MODULE)
     if "Omega" in free and initial.Omega == 0:
         raise DomainError("a free Omega cannot start at 0, where its "
                           "Jacobian column vanishes", module=_MODULE)
@@ -375,6 +375,15 @@ def fit_spectrum(data: Spectrum, initial: CoupledSystem, free=None,
                           "free parameters", module=_MODULE)
 
     freqs = data.freq_hz
+    if initial_amplitude is None:
+        initial_amplitude = 1.0
+        if "amplitude" in free:
+            # The model is linear in A0, so this start is exact in A0.
+            m = s21_squared(initial, freqs)
+            initial_amplitude = float(m @ data.s21_sq / (m @ m))
+    if not (initial_amplitude > 0 and math.isfinite(initial_amplitude)):
+        raise DomainError(f"initial_amplitude must be > 0, got "
+                          f"{initial_amplitude:.6g}", module=_MODULE)
     start = np.array([initial.omega_c, initial.kappa, initial.omega_s,
                       initial.gamma_star, initial.Omega, initial_amplitude])
     index = [_FIT_PARAM_NAMES.index(name) for name in free]
@@ -391,6 +400,10 @@ def fit_spectrum(data: Spectrum, initial: CoupledSystem, free=None,
         p = unpack(x)
         dp_dx = np.where(logged, p[index], start[index])
         return _model_and_jacobian(freqs, p)[1][:, index] * dp_dx
+
+    # scipy is imported here, not at module level, so that only fits pay
+    # for it at start-up.
+    from scipy import optimize
 
     # Trial steps far from the data can overflow; the solver rejects them.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -7,6 +7,10 @@ on failure, exit status 0/1).
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,6 +372,26 @@ class TestFit:
         assert stderr.startswith("ERROR:spectroscopy:domain:")
         assert "max_iterations" in stderr
 
+    def test_free_amplitude_starts_at_least_squares_scale(self, tmp_path,
+                                                           capsys):
+        data = tmp_path / "spec.csv"
+        self.write_reference_spectrum(data)
+        spec = sp.read_spectrum(data)
+        scaled = sp.Spectrum(freq_hz=spec.freq_hz, s21_sq=0.37 * spec.s21_sq)
+        sp.write_spectrum(data, scaled)
+        guess = sp.CoupledSystem(omega_c=3.1207e9, kappa=1.4e6,
+                                 omega_s=3.1214e9, gamma_star=2.2e6, Omega=9e6)
+        model = sp.s21_squared(guess, spec.freq_hz)
+        out = tmp_path / "fit.json"
+        rc, _, _ = run_cli(capsys, "fit", "--data", data, *self.GUESS_ARGS,
+                           "--free", "amplitude", "--out", out)
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        # A0 alone is linear, so the start is already the optimum.
+        assert payload["n_iterations"] == 1
+        assert payload["amplitude"] == pytest.approx(
+            model @ scaled.s21_sq / (model @ model), rel=1e-12)
+
     def test_missing_data_file(self, tmp_path, capsys):
         rc, _, stderr = run_cli(capsys, "fit", "--data",
                                 tmp_path / "nope.csv", *self.GUESS_ARGS,
@@ -386,6 +410,55 @@ class TestConstants:
         for entry in registry():
             assert entry["name"] in stdout
         assert f"{PLANCK_H:.17g}" in stdout
+
+
+_COLD_PIPELINE = """
+import sys
+from nvcavity.cli import main
+
+steps = [
+    ["constants"],
+    ["design", "--A-mm2", "100", "--l-mm", "10", "--w-mm", "2",
+     "--target-freq-GHz", "2.775", "--out", "design.json"],
+    ["spins", "--direction", "0", "1", "0", "--tune-to-GHz", "3.121",
+     "--n-points", "11", "--out", "sweep.csv"],
+    ["fieldmap", "--sheet-length-mm", "8", "--sheet-width-mm", "6.6",
+     "--sheet-gap-mm", "1.27", "--grid-extents-mm", "4", "4", "0.8",
+     "--grid-dims", "5", "5", "3", "--normalize-to-GHz", "3.121",
+     "--region-center-mm", "0", "0", "0", "--region-extents-mm", "2", "2",
+     "0.6", "--out-map", "map.csv", "--out-report", "homogeneity.json"],
+    ["couple", "--map", "map.csv", "--density-ppm", "40",
+     "--region-center-mm", "0", "0", "0", "--region-extents-mm", "2", "2",
+     "0.6", "--kappa-MHz", "1.91", "--gamma-star-MHz", "3",
+     "--out", "coupling.json"],
+    ["spectrum", "--omega-c-GHz", "3.121", "--kappa-MHz", "1.91",
+     "--omega-s-GHz", "3.121", "--gamma-star-MHz", "3", "--Omega-MHz",
+     "12.46", "--f-min-GHz", "3.091", "--f-max-GHz", "3.151",
+     "--n-points", "601", "--noise-fraction", "0.01", "--seed", "7",
+     "--out", "spectrum.csv"],
+]
+for argv in steps:
+    assert main(argv) == 0, argv
+print("scipy loaded before fit:", "scipy" in sys.modules)
+rc = main(["fit", "--data", "spectrum.csv", "--omega-c-GHz", "3.1207",
+           "--kappa-MHz", "1.4", "--omega-s-GHz", "3.1214",
+           "--gamma-star-MHz", "2.2", "--Omega-MHz", "9", "--out", "fit.json"])
+print("fit exit:", rc)
+"""
+
+
+def test_only_fit_imports_scipy(tmp_path):
+    import nvcavity
+
+    src = str(Path(nvcavity.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", _COLD_PIPELINE],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "scipy loaded before fit: False" in proc.stdout
+    assert "fit exit: 0" in proc.stdout
+    payload = json.loads((tmp_path / "fit.json").read_text())
+    assert payload["Omega_Hz"] == pytest.approx(12.46e6, rel=0.02)
 
 
 class TestErrorProtocol:

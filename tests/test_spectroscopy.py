@@ -346,6 +346,54 @@ class TestFitSpectrum:
         assert result.system.Omega == pytest.approx(REFERENCE_POINT.Omega,
                                                     rel=0.02)
 
+    def test_free_amplitude_starts_at_least_squares_scale(self):
+        # Benchmark fit case seed 709 "seeded23" (benchmarks/bench_inputs.py):
+        # from A0 = 1 the fit ends at Omega = 16.0 MHz, residual 0.94.
+        truth = sp.CoupledSystem(omega_c=3121459877.82534,
+                                 kappa=1895772.8987184607,
+                                 omega_s=3121678503.168574,
+                                 gamma_star=2698829.19829411,
+                                 Omega=12488828.45643378)
+        clean = sp.spectrum(truth, 3.091e9, 3.151e9, 1201)
+        data = sp.with_multiplicative_noise(
+            sp.Spectrum(freq_hz=clean.freq_hz,
+                        s21_sq=0.5877365875228507 * clean.s21_sq),
+            0.01, seed=1645032158)
+        start = sp.CoupledSystem(omega_c=3121823771.0632105,
+                                 kappa=1504597.402628658,
+                                 omega_s=3122109414.532285,
+                                 gamma_star=2028660.9048528962,
+                                 Omega=9647622.408101017)
+        result = sp.fit_spectrum(data, start, free=sp._FIT_PARAM_NAMES)
+        assert result.system.Omega == pytest.approx(truth.Omega, rel=0.02)
+        assert result.amplitude == pytest.approx(0.5877365875228507, rel=0.05)
+        assert result.residual < 1e-3
+
+    def test_amplitude_alone_is_solved_by_its_start(self):
+        # The model is linear in A0, so the projected start is the optimum.
+        data = reference_spectrum(601)
+        scaled = sp.Spectrum(freq_hz=data.freq_hz, s21_sq=0.37 * data.s21_sq)
+        model = sp.s21_squared(self.offset_guess(), data.freq_hz)
+        result = sp.fit_spectrum(scaled, self.offset_guess(),
+                                 free=("amplitude",))
+        assert result.amplitude == pytest.approx(
+            model @ scaled.s21_sq / (model @ model), rel=1e-12)
+        assert result.n_iterations == 1
+
+    def test_fixed_amplitude_defaults_to_one(self):
+        data = reference_spectrum(601)
+        scaled = sp.Spectrum(freq_hz=data.freq_hz, s21_sq=0.37 * data.s21_sq)
+        assert sp.fit_spectrum(scaled, self.offset_guess()).amplitude == 1.0
+
+    def test_no_positive_amplitude_start_is_domain_error(self):
+        freqs = reference_spectrum(601).freq_hz
+        dark = sp.Spectrum(freq_hz=freqs, s21_sq=np.zeros_like(freqs))
+        with pytest.raises(DomainError, match="initial_amplitude"):
+            sp.fit_spectrum(dark, self.offset_guess(), free=("amplitude",))
+        with pytest.raises(DomainError, match="initial_amplitude"):
+            sp.fit_spectrum(reference_spectrum(601), self.offset_guess(),
+                            initial_amplitude=-1.0)
+
     def test_non_physical_end_raises_with_best_state(self):
         # On bare-cavity data the only thing left to fit is the spins'
         # dispersive pull, so the spin line runs off below zero frequency.
