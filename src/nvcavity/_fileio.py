@@ -1,9 +1,28 @@
-"""Small file-output helpers shared by the writer routines."""
+"""The toolkit's one file layer: tables, plot files and JSON reports.
+
+Every file the toolkit writes or reads goes through these helpers, so the
+formats are decided here and nowhere else:
+
+- numbers are written with 17 significant digits (``%.17g``), which read
+  back as the same float;
+- a table is a header line followed by one line per row, its values
+  joined by a separator: CSV files use ``,``; gnuplot ``.dat`` files use a
+  space, start with a ``#`` column line and separate blocks by blank lines;
+- JSON reports are indented by 2 and end with a newline;
+- every write is atomic (temp file plus rename), and a new file gets the
+  permission bits a plain ``open(path, "w")`` would give.
+"""
 
 import contextlib
+import json
+import math
 import os
 import stat
 import tempfile
+
+import numpy as np
+
+from .errors import ValidationError
 
 
 def _open_mode(path: str) -> int:
@@ -38,3 +57,65 @@ def atomic_write_text(path, text: str) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def format_float(value: float) -> str:
+    """``value`` with 17 significant digits, which read back as the same float."""
+    return "%.17g" % value
+
+
+def write_table(path, header: str, rows, sep: str = ",") -> None:
+    """Write ``header``, then each row as ``%.17g`` values joined by ``sep``.
+
+    A ``None`` row writes an empty line, which gnuplot reads as a block
+    break.  The file is written atomically.
+    """
+    # "%.17g" inline, not format_float: a call per value costs more than
+    # the formatting, and a tracer of public calls would see every number.
+    lines = [header]
+    for row in rows:
+        lines.append("" if row is None else sep.join(["%.17g" % v for v in row]))
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def read_table(path, header: str, n_columns: int, module: str):
+    """Read a CSV table written by :func:`write_table`.
+
+    The first line must be ``header``; blank lines are skipped, and every
+    other line must hold ``n_columns`` finite numbers.  Returns the values
+    as a float array of shape (rows, n_columns) and the file line number
+    of each row.  A defect is a ``ValidationError`` of ``module`` that
+    names ``path:line``.
+    """
+    try:
+        with open(path) as fh:
+            raw_lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}", module=module) from exc
+    if not raw_lines or raw_lines[0].strip() != header:
+        raise ValidationError(f"{path}: first line must be the header {header!r}",
+                              module=module)
+    values = []
+    line_numbers = []
+    for lineno, line in enumerate(raw_lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != n_columns:
+            raise ValidationError(f"{path}:{lineno}: expected {n_columns} columns, "
+                                  f"got {len(parts)}", module=module)
+        try:
+            row = list(map(float, parts))
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: unparsable number",
+                                  module=module) from exc
+        if not all(map(math.isfinite, row)):
+            raise ValidationError(f"{path}:{lineno}: non-finite value", module=module)
+        values += row
+        line_numbers.append(lineno)
+    return np.array(values, dtype=float).reshape(-1, n_columns), line_numbers
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as JSON indented by 2, plus a newline (atomic)."""
+    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")

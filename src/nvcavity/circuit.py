@@ -48,7 +48,7 @@ class CircuitParams:
 
     c_total: float
     l_total: float
-    omega_c: float  # rad/s
+    omega_c_rad_per_s: float
     f_c: float  # Hz
 
 
@@ -72,10 +72,6 @@ def flat_wire_inductance(geom: CavityGeometry, inductance_scale: float = 1.0) ->
     for matching a measured or simulated resonance.
     """
     l, w = geom.path_length, geom.path_width
-    if w >= l:
-        raise DomainError(
-            f"flat-wire model requires path_width < path_length (got w={w}, l={l})",
-            module=_MODULE)
     if inductance_scale <= 0:
         raise DomainError("inductance_scale must be > 0", module=_MODULE)
     return inductance_scale * (MU_0 / (2.0 * math.pi)) * l * (math.log(l / w) + w / l)
@@ -88,7 +84,7 @@ def eigenfrequency(geom: CavityGeometry, inductance_scale: float = 1.0,
     l_total = flat_wire_inductance(geom, inductance_scale)
     omega_c = 1.0 / math.sqrt(l_total * c_total)
     return CircuitParams(c_total=c_total, l_total=l_total,
-                         omega_c=omega_c, f_c=omega_c / (2.0 * math.pi))
+                         omega_c_rad_per_s=omega_c, f_c=omega_c / (2.0 * math.pi))
 
 
 def gap_for_frequency(geom: CavityGeometry, f_target: float,

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import circuit, constants, coupling, fieldmap, nvspin, spectroscopy
-from ._fileio import atomic_write_text
+from ._fileio import write_json, write_table
 from .errors import ToolkitError, ValidationError
 
 _MODULE = "cli"
@@ -272,16 +272,6 @@ def _plot_path(out_path: str) -> str:
     return root + ".dat"
 
 
-def _write_plot_rows(path, rows, comment: str) -> None:
-    lines = [f"# {comment}"]
-    for row in rows:
-        if row is None:
-            lines.append("")
-        else:
-            lines.append(" ".join(f"{v:.17g}" for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 def cmd_design(opts) -> int:
     area, length, width = _require(opts, "design", "A_mm2", "l_mm", "w_mm")
     k_l, eps_r = opts["k_L"], opts["epsilon_r"]
@@ -301,7 +291,7 @@ def cmd_design(opts) -> int:
         "A_m2": area, "d_m": gap, "l_m": length, "w_m": width,
         "k_L": k_l, "epsilon_r": eps_r,
         "C_total_F": params.c_total, "L_total_H": params.l_total,
-        "omega_c_rad_per_s": params.omega_c, "f_c_Hz": params.f_c,
+        "omega_c_rad_per_s": params.omega_c_rad_per_s, "f_c_Hz": params.f_c,
     }
     if target is not None:
         report["target_freq_Hz"] = target
@@ -317,7 +307,7 @@ def cmd_design(opts) -> int:
         print(f"{name:<12} {value}")
 
     out = opts["out"]
-    atomic_write_text(out, json.dumps(report, indent=2) + "\n")
+    write_json(out, report)
     print(f"wrote {out}")
     if opts["emit_plot_data"]:
         gaps = np.linspace(0.5 * gap, 1.5 * gap, 51)
@@ -328,7 +318,7 @@ def cmd_design(opts) -> int:
             sweep.append((d, circuit.eigenfrequency(
                 g, inductance_scale=k_l, relative_permittivity=eps_r).f_c))
         plot = _plot_path(out)
-        _write_plot_rows(plot, sweep, "gap_m f_c_Hz")
+        write_table(plot, "# gap_m f_c_Hz", sweep, sep=" ")
         print(f"wrote {plot}")
     return 0
 
@@ -363,8 +353,8 @@ def cmd_spins(opts) -> int:
                                                    / np.linalg.norm(direction))
             rows.append((b_mag, levels.f_lower, levels.f_upper))
         plot = _plot_path(out)
-        _write_plot_rows(plot, rows,
-                         "B_T f_lower_Hz f_upper_Hz (sub-ensemble 0)")
+        write_table(plot, "# B_T f_lower_Hz f_upper_Hz (sub-ensemble 0)", rows,
+                    sep=" ")
         print(f"wrote {plot}")
     return 0
 
@@ -396,7 +386,7 @@ def cmd_fieldmap(opts) -> int:
         region = fieldmap.SampleRegion(center=center, extents=extents)
         report = fieldmap.homogeneity(fmap, region, bins=opts["bins"])
         out_report = opts["out_report"]
-        atomic_write_text(out_report, json.dumps(report.as_dict(), indent=2) + "\n")
+        write_json(out_report, report.as_dict())
         print(f"wrote {out_report}")
         print(f"mean |B| = {report.mean_field_t:.6g} T, "
               f"rms deviation = {report.rms_deviation:.4%}, "
@@ -406,7 +396,7 @@ def cmd_fieldmap(opts) -> int:
                     else (10.0 * report.max_deviation + 1.0, fraction)
                     for edge, fraction in report.contour_histogram]
             plot = _plot_path(out_report)
-            _write_plot_rows(plot, rows, "deviation_bin_edge volume_fraction")
+            write_table(plot, "# deviation_bin_edge volume_fraction", rows, sep=" ")
             print(f"wrote {plot}")
     return 0
 
@@ -432,7 +422,7 @@ def cmd_couple(opts) -> int:
                 omega_meas, kappa, gamma_star)
 
     out = opts["out"]
-    atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
+    write_json(out, payload)
     print(f"wrote {out}")
     print(f"g0 mean = {report.g0_mean:.6g} Hz, N = {report.n_spins:.6g}, "
           f"Omega = {report.omega:.6g} Hz")
@@ -465,7 +455,7 @@ def cmd_spectrum(opts) -> int:
                             for j, nu in enumerate(grid.nu_p_hz))
                 rows.append(None)
             plot = _plot_path(out)
-            _write_plot_rows(plot, rows, "delta_s_Hz nu_p_Hz S21_sq")
+            write_table(plot, "# delta_s_Hz nu_p_Hz S21_sq", rows, sep=" ")
             print(f"wrote {plot}")
         return 0
 
@@ -481,8 +471,8 @@ def cmd_spectrum(opts) -> int:
     print(f"wrote {out}")
     if opts["emit_plot_data"]:
         plot = _plot_path(out)
-        _write_plot_rows(plot, zip(spec.freq_hz, spec.s21_sq),
-                         "freq_Hz S21_sq")
+        write_table(plot, "# freq_Hz S21_sq", zip(spec.freq_hz, spec.s21_sq),
+                    sep=" ")
         print(f"wrote {plot}")
     return 0
 
@@ -507,7 +497,7 @@ def cmd_fit(opts) -> int:
         model = spectroscopy.s21_squared(result.system, data.freq_hz)
         rows = zip(data.freq_hz, data.s21_sq, result.amplitude * model)
         plot = _plot_path(out)
-        _write_plot_rows(plot, rows, "freq_Hz S21_sq_data S21_sq_model")
+        write_table(plot, "# freq_Hz S21_sq_data S21_sq_model", rows, sep=" ")
         print(f"wrote {plot}")
     return 0
 

@@ -11,13 +11,11 @@ and the cooperativity C = Omega^2 / (kappa * gamma_star) measures the
 coupling against cavity and spin linewidths.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import atomic_write_text
 from .constants import BOHR_MAGNETON, CARBON_SITE_DENSITY_M3, PLANCK_H, SPIN_MATRIX_ELEMENT
 from .errors import DomainError
 from .fieldmap import (FieldMap, SampleRegion, region_cell_magnitudes,
@@ -84,9 +82,6 @@ class CouplingReport:
             "cooperativity": self.cooperativity,
         }
         return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
 
 
 def _coupling_rate_per_tesla(species: SpinSpecies, s_matrix_element: float) -> float:
@@ -187,7 +182,3 @@ def coupling_report(fmap: FieldMap, ens: EnsembleSpec,
                           g0_max_deviation=g0_max, n_spins=n, omega=omega,
                           cooperativity=coop)
 
-
-def write_coupling_report(path, report: CouplingReport) -> None:
-    """Serialize a report to JSON (scalar fields only)."""
-    atomic_write_text(path, report.to_json() + "\n")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import atomic_write_text
+from ._fileio import atomic_write_text, format_float, read_table, write_table
 from .constants import MU_0, PLANCK_H
 from .errors import DomainError, SingularityError, ValidationError
 
@@ -517,10 +517,6 @@ def homogeneity(fmap: FieldMap, region: SampleRegion,
                              max_deviation=max_dev, contour_histogram=histogram)
 
 
-def _format_float(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def export_map(path, fmap: FieldMap) -> None:
     """Write a map as node CSV plus a ``.meta`` sidecar next to it.
 
@@ -529,32 +525,23 @@ def export_map(path, fmap: FieldMap) -> None:
     ``key=value`` lines.  Both files are written atomically and round-trip
     through :func:`ingest_map` bit-exactly.
     """
-    xs, ys, zs = fmap.axes()
     nx, ny, nz = fmap.dims
-    lines = [_CSV_HEADER]
-    b = fmap.b
-    for ix in range(nx):
-        for iy in range(ny):
-            for iz in range(nz):
-                bx, by, bz = b[ix, iy, iz]
-                lines.append(",".join((
-                    _format_float(xs[ix]), _format_float(ys[iy]),
-                    _format_float(zs[iz]), _format_float(bx),
-                    _format_float(by), _format_float(bz))))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    nodes = np.meshgrid(*fmap.axes(), indexing="ij")
+    rows = np.column_stack([*(n.ravel() for n in nodes), fmap.b.reshape(-1, 3)])
+    write_table(path, _CSV_HEADER, rows.tolist())
 
     meta = [
         f"nx={nx}", f"ny={ny}", f"nz={nz}",
-        f"origin_x_m={_format_float(fmap.origin[0])}",
-        f"origin_y_m={_format_float(fmap.origin[1])}",
-        f"origin_z_m={_format_float(fmap.origin[2])}",
-        f"spacing_x_m={_format_float(fmap.spacing[0])}",
-        f"spacing_y_m={_format_float(fmap.spacing[1])}",
-        f"spacing_z_m={_format_float(fmap.spacing[2])}",
-        f"energy_J={_format_float(fmap.energy_j)}",
+        f"origin_x_m={format_float(fmap.origin[0])}",
+        f"origin_y_m={format_float(fmap.origin[1])}",
+        f"origin_z_m={format_float(fmap.origin[2])}",
+        f"spacing_x_m={format_float(fmap.spacing[0])}",
+        f"spacing_y_m={format_float(fmap.spacing[1])}",
+        f"spacing_z_m={format_float(fmap.spacing[2])}",
+        f"energy_J={format_float(fmap.energy_j)}",
     ]
     if fmap.photon_frequency_hz is not None:
-        meta.append(f"photon_frequency_Hz={_format_float(fmap.photon_frequency_hz)}")
+        meta.append(f"photon_frequency_Hz={format_float(fmap.photon_frequency_hz)}")
     atomic_write_text(str(path) + _META_SUFFIX, "\n".join(meta) + "\n")
 
 
@@ -610,34 +597,12 @@ def ingest_map(path) -> FieldMap:
     if np.any(spacing <= 0) or not np.all(np.isfinite(origin)):
         raise ValidationError("sidecar origin/spacing invalid", module=_MODULE)
 
-    try:
-        with open(path) as fh:
-            raw_lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}", module=_MODULE) from exc
-    if not raw_lines or raw_lines[0].strip() != _CSV_HEADER:
-        raise ValidationError(
-            f"{path}: first line must be the header {_CSV_HEADER!r}", module=_MODULE)
-
+    data, line_numbers = read_table(path, _CSV_HEADER, 6, _MODULE)
     n_nodes = dims[0] * dims[1] * dims[2]
     b = np.empty((*dims, 3))
     seen = np.zeros(dims, dtype=bool)
     tol = 1e-6 * spacing
-    for lineno, line in enumerate(raw_lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise ValidationError(f"{path}:{lineno}: expected 6 columns, "
-                                  f"got {len(parts)}", module=_MODULE)
-        try:
-            vals = [float(p) for p in parts]
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: unparsable number",
-                                  module=_MODULE) from exc
-        if not all(math.isfinite(v) for v in vals):
-            raise ValidationError(f"{path}:{lineno}: non-finite value",
-                                  module=_MODULE)
+    for vals, lineno in zip(data.tolist(), line_numbers):
         idx = []
         for ax in range(3):
             pos = (vals[ax] - origin[ax]) / spacing[ax]

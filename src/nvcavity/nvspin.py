@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import atomic_write_text
+from ._fileio import write_table
 from .constants import BOHR_MAGNETON, NV_G_FACTOR, NV_ZERO_FIELD_SPLITTING_HZ, PLANCK_H
 from .errors import DomainError, NoSolutionError
 
@@ -136,15 +136,19 @@ def transition_frequencies(species: SpinSpecies, axis, b0) -> SpinLevels:
                       ground_ambiguous=ambiguous)
 
 
+# Search range [T] and frequency tolerance [Hz] of zeeman_tune.
+_TUNE_B_MAX = 0.5
+_TUNE_TOL_HZ = 1.0
+
+
 def zeeman_tune(species: SpinSpecies, axes, direction, f_target: float,
-                which: str = "upper", b_max: float = 0.5,
-                tol_hz: float = 1.0) -> float:
+                which: str = "upper") -> float:
     """Field magnitude along ``direction`` that tunes the selected
     transition of sub-ensemble 0 to ``f_target`` [Hz].
 
     Solves on the monotone branch starting at B = 0 by bracketing and
-    bisection; raises NoSolutionError when the target is not reached on
-    that branch within [0, b_max].
+    bisection to within 1 Hz; raises NoSolutionError when the target is
+    not reached on that branch within [0, 0.5] T.
     """
     if which not in ("lower", "upper"):
         raise DomainError("which must be 'lower' or 'upper'", module=_MODULE)
@@ -163,7 +167,7 @@ def zeeman_tune(species: SpinSpecies, axes, direction, f_target: float,
         return levels.f_lower if which == "lower" else levels.f_upper
 
     f0 = freq(0.0)
-    if abs(f0 - f_target) <= tol_hz:
+    if abs(f0 - f_target) <= _TUNE_TOL_HZ:
         return 0.0
     increasing = which == "upper"
     if (f_target > f0) != increasing:
@@ -178,7 +182,7 @@ def zeeman_tune(species: SpinSpecies, axes, direction, f_target: float,
     b_hi = None
     f_prev = f0
     for k in range(1, n_scan + 1):
-        b = b_max * k / n_scan
+        b = _TUNE_B_MAX * k / n_scan
         f = freq(b)
         if (f < f_prev) if increasing else (f > f_prev):
             break  # left the monotone branch
@@ -189,12 +193,12 @@ def zeeman_tune(species: SpinSpecies, axes, direction, f_target: float,
     if b_hi is None:
         raise NoSolutionError(
             f"target {f_target:.6g} Hz not reachable on the monotone {which} "
-            f"branch within [0, {b_max}] T", module=_MODULE)
+            f"branch within [0, {_TUNE_B_MAX}] T", module=_MODULE)
 
     for _ in range(200):
         b_mid = 0.5 * (b_lo + b_hi)
         f_mid = freq(b_mid)
-        if abs(f_mid - f_target) <= tol_hz:
+        if abs(f_mid - f_target) <= _TUNE_TOL_HZ:
             return b_mid
         if (f_mid < f_target) == increasing:
             b_lo = b_mid
@@ -205,19 +209,17 @@ def zeeman_tune(species: SpinSpecies, axes, direction, f_target: float,
 
 
 def write_transition_sweep(path, species: SpinSpecies, direction,
-                           b_values, axes=None) -> None:
+                           b_values) -> None:
     """Write a transition-frequency sweep CSV.
 
     Columns: B_magnitude_T, axis_index, f_lower_Hz, f_upper_Hz; one row
-    per (field magnitude, NV axis) pair.
+    per (field magnitude, NV axis) pair, over the four axes of NV_AXES.
     """
-    if axes is None:
-        axes = NV_AXES
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
-    lines = ["B_magnitude_T,axis_index,f_lower_Hz,f_upper_Hz"]
+    rows = []
     for b_mag in np.asarray(b_values, dtype=float):
-        for idx, axis in enumerate(np.atleast_2d(axes)):
+        for idx, axis in enumerate(NV_AXES):
             levels = transition_frequencies(species, axis, b_mag * direction)
-            lines.append(f"{b_mag:.17g},{idx},{levels.f_lower:.17g},{levels.f_upper:.17g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+            rows.append((b_mag, idx, levels.f_lower, levels.f_upper))
+    write_table(path, "B_magnitude_T,axis_index,f_lower_Hz,f_upper_Hz", rows)

@@ -16,13 +16,12 @@ d|S21|^2/dp = 2 Re(conj(t) dt/dp); the Jacobian also gives the exact
 curvature J^T J reported with each fit.
 """
 
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._fileio import atomic_write_text
+from ._fileio import read_table, write_json, write_table
 from .errors import (DomainError, FitConvergenceError, NoSplittingError,
                      ValidationError)
 
@@ -303,9 +302,6 @@ class FitResult:
             "linewidth_convention": "HWHM",
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
-
 
 def _model_and_jacobian(freqs: np.ndarray, p: np.ndarray):
     """A0 |t|^2 and its exact derivatives, one column per parameter.
@@ -435,16 +431,10 @@ def fit_spectrum(data: Spectrum, initial: CoupledSystem, free=None,
     return result
 
 
-def _format_float(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def write_spectrum(path, spec: Spectrum) -> None:
     """Write a spectrum as ``freq_Hz,S21_sq`` CSV (atomic)."""
-    lines = [_SPECTRUM_HEADER]
-    lines.extend(f"{_format_float(f)},{_format_float(v)}"
-                 for f, v in zip(spec.freq_hz, spec.s21_sq))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = zip(spec.freq_hz.tolist(), spec.s21_sq.tolist())
+    write_table(path, _SPECTRUM_HEADER, rows)
 
 
 def read_spectrum(path, magnitude: str = "linear") -> Spectrum:
@@ -456,59 +446,37 @@ def read_spectrum(path, magnitude: str = "linear") -> Spectrum:
     """
     if magnitude not in ("linear", "dB"):
         raise DomainError("magnitude must be 'linear' or 'dB'", module=_MODULE)
-    try:
-        with open(path) as fh:
-            raw_lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}", module=_MODULE) from exc
-    if not raw_lines or raw_lines[0].strip() != _SPECTRUM_HEADER:
-        raise ValidationError(f"{path}: first line must be the header "
-                              f"{_SPECTRUM_HEADER!r}", module=_MODULE)
-    rows = []
-    for lineno, line in enumerate(raw_lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValidationError(f"{path}:{lineno}: expected 2 columns, got "
-                                  f"{len(parts)}", module=_MODULE)
-        try:
-            f, v = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: unparsable number",
-                                  module=_MODULE) from exc
-        if not (math.isfinite(f) and math.isfinite(v)):
-            raise ValidationError(f"{path}:{lineno}: non-finite value",
-                                  module=_MODULE)
-        if magnitude == "dB":
-            v = 10.0 ** (v / 10.0)
-        elif v < 0:
-            raise ValidationError(f"{path}:{lineno}: negative |S21|^2 "
-                                  f"(pass dB data through the dB conversion)",
-                                  module=_MODULE)
-        rows.append((f, v, lineno))
-    if not rows:
+    data, line_numbers = read_table(path, _SPECTRUM_HEADER, 2, _MODULE)
+    if not line_numbers:
         raise ValidationError(f"{path}: no data rows", module=_MODULE)
-    rows.sort(key=lambda row: row[0])
-    for (f1, _, l1), (f2, _, l2) in zip(rows, rows[1:]):
-        if f1 == f2:
-            raise ValidationError(f"{path}:{l2}: duplicate frequency {f1!r} "
-                                  f"(also on line {l1})", module=_MODULE)
-    freqs = np.array([row[0] for row in rows])
-    vals = np.array([row[1] for row in rows])
-    return Spectrum(freq_hz=freqs, s21_sq=vals)
+    if magnitude == "dB":
+        # One Python power per value: numpy's vectorized power can differ
+        # in the last bit.
+        data[:, 1] = [10.0 ** (v / 10.0) for v in data[:, 1].tolist()]
+    else:
+        negative = np.flatnonzero(data[:, 1] < 0)
+        if negative.size:
+            raise ValidationError(f"{path}:{line_numbers[negative[0]]}: negative "
+                                  f"|S21|^2 (pass dB data through the dB conversion)",
+                                  module=_MODULE)
+    order = np.argsort(data[:, 0], kind="stable")
+    freqs = data[order, 0]
+    same = np.flatnonzero(freqs[1:] == freqs[:-1])
+    if same.size:
+        k = same[0]
+        raise ValidationError(f"{path}:{line_numbers[order[k + 1]]}: duplicate "
+                              f"frequency {float(freqs[k])!r} (also on line "
+                              f"{line_numbers[order[k]]})", module=_MODULE)
+    return Spectrum(freq_hz=freqs, s21_sq=data[order, 1])
 
 
 def write_grid(path, grid: SpectrumGrid) -> None:
     """Write an avoided-crossing map as long-format CSV (atomic)."""
-    lines = [_GRID_HEADER]
-    for i, delta in enumerate(grid.delta_s_hz):
-        for j, nu in enumerate(grid.nu_p_hz):
-            lines.append(f"{_format_float(delta)},{_format_float(nu)},"
-                         f"{_format_float(grid.s21_sq[i, j])}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    delta, nu = np.meshgrid(grid.delta_s_hz, grid.nu_p_hz, indexing="ij")
+    rows = np.column_stack([delta.ravel(), nu.ravel(), grid.s21_sq.ravel()])
+    write_table(path, _GRID_HEADER, rows.tolist())
 
 
 def write_fit_result(path, result: FitResult) -> None:
     """Serialize a fit result to JSON (atomic)."""
-    atomic_write_text(path, result.to_json() + "\n")
+    write_json(path, result.as_dict())

@@ -95,9 +95,10 @@ class TestEigenfrequency:
 
     def test_invariants_by_construction(self):
         params = eigenfrequency(make_geom())
-        assert params.omega_c == pytest.approx(
+        assert params.omega_c_rad_per_s == pytest.approx(
             1.0 / math.sqrt(params.l_total * params.c_total), rel=1e-15)
-        assert params.f_c == pytest.approx(params.omega_c / (2 * math.pi), rel=1e-15)
+        assert params.f_c == pytest.approx(params.omega_c_rad_per_s / (2 * math.pi),
+                                           rel=1e-15)
 
     def test_gap_doubling_scales_frequency(self):
         f1 = eigenfrequency(make_geom(d=1e-3)).f_c

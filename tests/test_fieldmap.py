@@ -477,9 +477,10 @@ class TestExportIngest:
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "map.csv"
-        path.write_text("x,y,z,Bx,By,Bz\n0,0,0,1,1,1\n")
-        (tmp_path / "map.csv.meta").write_text("nx=1\n")
-        with pytest.raises(ValidationError, match="header"):
+        fm.export_map(path, self.make_random_map())
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(["x,y,z,Bx,By,Bz"] + lines[1:]) + "\n")
+        with pytest.raises(ValidationError, match="first line must be the header"):
             fm.ingest_map(path)
 
     def test_off_lattice_point_rejected(self, tmp_path):

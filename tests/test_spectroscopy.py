@@ -487,10 +487,12 @@ class TestFitSpectrum:
         assert np.allclose(curv, curv.T)
         assert np.all(np.linalg.eigvalsh(curv) > -1e-6 * np.max(np.abs(curv)))
 
-    def test_result_dict_round_trips_json(self):
+    def test_result_dict_round_trips_json(self, tmp_path):
         data = reference_spectrum(301)
         result = sp.fit_spectrum(data, self.offset_guess())
-        payload = json.loads(result.to_json())
+        out = tmp_path / "fit.json"
+        sp.write_fit_result(out, result)
+        payload = json.loads(out.read_text())
         assert payload["units"] == "Hz"
         assert payload["linewidth_convention"] == "HWHM"
         assert payload["Omega_Hz"] == result.system.Omega
