@@ -86,6 +86,12 @@ def read_table(path, header: str, n_columns: int, module: str):
     as a float array of shape (rows, n_columns) and the file line number
     of each row.  A defect is a ``ValidationError`` of ``module`` that
     names ``path:line``.
+
+    The body is parsed in one ``np.loadtxt`` pass, which uses the same
+    string-to-float conversion as ``float``.  Whenever that pass does not
+    give every line as a row of finite numbers (a blank line, a defect,
+    or a spelling only ``float`` accepts, such as ``1_0``), a line scan
+    reads the body instead and names the first defective line.
     """
     try:
         with open(path) as fh:
@@ -95,9 +101,18 @@ def read_table(path, header: str, n_columns: int, module: str):
     if not raw_lines or raw_lines[0].strip() != header:
         raise ValidationError(f"{path}: first line must be the header {header!r}",
                               module=module)
+    body_lines = raw_lines[1:]
+    # np.loadtxt skips empty lines (and warns on a body of nothing else),
+    # so a body with one goes straight to the line scan.
+    if body_lines and "" not in body_lines:
+        with contextlib.suppress(ValueError):
+            table = np.loadtxt(body_lines, delimiter=",", comments=None, ndmin=2)
+            if (table.shape == (len(body_lines), n_columns)
+                    and np.isfinite(table).all()):
+                return table, list(range(2, len(body_lines) + 2))
     values = []
     line_numbers = []
-    for lineno, line in enumerate(raw_lines[1:], start=2):
+    for lineno, line in enumerate(body_lines, start=2):
         if not line.strip():
             continue
         parts = line.split(",")

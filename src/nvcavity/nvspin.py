@@ -85,6 +85,16 @@ def _field_vector(b0) -> np.ndarray:
     return b0
 
 
+def _unit_direction(direction) -> np.ndarray:
+    """``direction`` divided by its norm, which must be nonzero and finite."""
+    direction = np.asarray(direction, dtype=float)
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        norm = float(np.linalg.norm(direction))
+    if direction.shape != (3,) or not (norm > 0 and math.isfinite(norm)):
+        raise DomainError("direction must be a nonzero finite 3-vector", module=_MODULE)
+    return direction / norm
+
+
 def _local_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two transverse unit vectors completing ``axis`` to a right-handed frame."""
     seed = np.zeros(3)
@@ -155,11 +165,7 @@ def zeeman_tune(species: SpinSpecies, axes, direction, f_target: float,
     if f_target <= 0:
         raise DomainError("f_target must be > 0", module=_MODULE)
     axes = np.asarray(axes, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    norm = float(np.linalg.norm(direction))
-    if norm == 0 or not np.all(np.isfinite(direction)):
-        raise DomainError("direction must be a nonzero finite 3-vector", module=_MODULE)
-    direction = direction / norm
+    direction = _unit_direction(direction)
     axis = axes[0] if axes.ndim == 2 else axes
 
     def freq(b_mag: float) -> float:
@@ -215,8 +221,7 @@ def write_transition_sweep(path, species: SpinSpecies, direction,
     Columns: B_magnitude_T, axis_index, f_lower_Hz, f_upper_Hz; one row
     per (field magnitude, NV axis) pair, over the four axes of NV_AXES.
     """
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
+    direction = _unit_direction(direction)
     rows = []
     for b_mag in np.asarray(b_values, dtype=float):
         for idx, axis in enumerate(NV_AXES):

@@ -12,8 +12,9 @@ rescaling, so angular units work too as long as they are consistent.
 
 Fitting is one Levenberg-Marquardt solve (MINPACK through scipy
 ``least_squares``) fed the exact Jacobian of the model,
-d|S21|^2/dp = 2 Re(conj(t) dt/dp); the Jacobian also gives the exact
-curvature J^T J reported with each fit.
+d|S21|^2/dp = 2 Re(conj(t) dt/dp).  Model and Jacobian come from one
+evaluation, so each solver point costs one; the Jacobian also gives the
+exact curvature J^T J reported with each fit.
 """
 
 import math
@@ -342,7 +343,9 @@ def fit_spectrum(data: Spectrum, initial: CoupledSystem, free=None,
     One unbounded Levenberg-Marquardt solve (scipy ``least_squares``,
     ``method="lm"``) runs with the exact Jacobian of the model, in the
     coordinates p / p0 for the frequencies and Omega and log(p / p0) for
-    kappa, gamma* and A0, which keeps those three positive.
+    kappa, gamma* and A0, which keeps those three positive.  The
+    Jacobian at a point is the one computed with its residuals, so each
+    solver point costs one model evaluation.
     ``max_iterations`` caps the solver's model evaluations;
     ``n_iterations`` reports how many it made.  The model depends on
     Omega only through Omega^2, so |Omega| is reported; a free Omega
@@ -392,10 +395,22 @@ def fit_spectrum(data: Spectrum, initial: CoupledSystem, free=None,
         p[index] = start[index] * np.where(logged, np.exp(x), x)
         return p
 
+    # MINPACK asks for the Jacobian at the point whose residuals it has
+    # just evaluated; at any other point it is computed afresh.
+    last_x, last_jac = None, None
+
+    def residuals(x: np.ndarray) -> np.ndarray:
+        nonlocal last_x, last_jac
+        model, last_jac = _model_and_jacobian(freqs, unpack(x))
+        last_x = x.copy()
+        return model - data.s21_sq
+
     def jacobian(x: np.ndarray) -> np.ndarray:
         p = unpack(x)
+        jac = (last_jac if np.array_equal(x, last_x)
+               else _model_and_jacobian(freqs, p)[1])
         dp_dx = np.where(logged, p[index], start[index])
-        return _model_and_jacobian(freqs, p)[1][:, index] * dp_dx
+        return jac[:, index] * dp_dx
 
     # scipy is imported here, not at module level, so that only fits pay
     # for it at start-up.
@@ -404,8 +419,7 @@ def fit_spectrum(data: Spectrum, initial: CoupledSystem, free=None,
     # Trial steps far from the data can overflow; the solver rejects them.
     with np.errstate(over="ignore", invalid="ignore"):
         sol = optimize.least_squares(
-            lambda x: _model_and_jacobian(freqs, unpack(x))[0] - data.s21_sq,
-            np.where(logged, 0.0, 1.0), jac=jacobian, method="lm",
+            residuals, np.where(logged, 0.0, 1.0), jac=jacobian, method="lm",
             xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=max_iterations)
         p = unpack(sol.x)
 
@@ -452,7 +466,14 @@ def read_spectrum(path, magnitude: str = "linear") -> Spectrum:
     if magnitude == "dB":
         # One Python power per value: numpy's vectorized power can differ
         # in the last bit.
-        data[:, 1] = [10.0 ** (v / 10.0) for v in data[:, 1].tolist()]
+        linear = data[:, 1].tolist()
+        for k, v in enumerate(linear):
+            try:
+                linear[k] = 10.0 ** (v / 10.0)
+            except OverflowError:
+                raise ValidationError(f"{path}:{line_numbers[k]}: dB value {v!r} "
+                                      f"overflows |S21|^2", module=_MODULE) from None
+        data[:, 1] = linear
     else:
         negative = np.flatnonzero(data[:, 1] < 0)
         if negative.size:

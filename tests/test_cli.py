@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,20 @@ class TestSpins:
             assert b_col == b_mag
             assert f_lo == levels.f_lower
             assert f_hi == levels.f_upper
+
+    @pytest.mark.parametrize("direction", [(0, 0, 0), (1e308, 1e308, 0)])
+    def test_degenerate_direction_is_domain_error(self, tmp_path, capsys,
+                                                  direction):
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, stdout, stderr = run_cli(capsys, "spins", "--direction",
+                                         *direction, "--out", out)
+        assert rc == 1
+        assert stdout == ""
+        assert stderr == ("ERROR:nvspin:domain: direction must be a nonzero "
+                          "finite 3-vector\n")
+        assert not out.exists()
 
 
 class TestFieldmapCommand:
@@ -361,6 +376,17 @@ class TestFit:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["Omega_Hz"] == pytest.approx(12.46e6, rel=1e-6)
+
+    def test_overflowing_decibel_value_names_its_line(self, tmp_path, capsys):
+        data = tmp_path / "db.csv"
+        data.write_text("freq_Hz,S21_sq\n1e9,4000\n1.1e9,-3\n")
+        out = tmp_path / "fit.json"
+        rc, _, stderr = run_cli(capsys, "fit", "--data", data, "--input-dB",
+                                *self.GUESS_ARGS, "--out", out)
+        assert rc == 1
+        assert stderr == (f"ERROR:spectroscopy:validation: {data}:2: dB value "
+                          f"4000.0 overflows |S21|^2\n")
+        assert not out.exists()
 
     def test_zero_iterations_rejected(self, tmp_path, capsys):
         data = tmp_path / "spec.csv"

@@ -3,6 +3,7 @@
 import os
 import stat
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,118 @@ def test_malformed_file_names_its_line(tmp_path, reader, defect):
         read(path)
     assert str(info.value) == expected
     assert info.value.module == module
+
+
+def row_defects(good):
+    """Bad rows made from the good row ``good``, with the message each gives."""
+    n = len(good)
+    joined = ",".join(good)
+    return {
+        "columns": (joined + ",7", f"expected {n} columns, got {n + 1}"),
+        "trailing comma": (joined + ",", f"expected {n} columns, got {n + 1}"),
+        "unparsable": (",".join(good[:-1] + ["abc"]), "unparsable number"),
+        "comment": ("#" + joined, "unparsable number"),
+        "nan": (",".join(good[:-1] + ["nan"]), "non-finite value"),
+        "inf": (",".join(good[:-1] + ["-inf"]), "non-finite value"),
+    }
+
+
+GOOD_ROWS = {"spectrum": ["1.2e9", "0.5"], "map": ["1", "0", "0", "1", "1", "1"]}
+
+
+@pytest.mark.parametrize("defect", row_defects(["1"]))
+@pytest.mark.parametrize("reader", READERS)
+def test_malformed_row_without_blank_lines_names_its_line(tmp_path, reader, defect):
+    # With no blank line the whole body goes through the one-pass parse
+    # first; the line scan behind it must still name the line.
+    make, read, module, _, _ = READERS[reader]
+    bad_row, message = row_defects(GOOD_ROWS[reader])[defect]
+    path = make(tmp_path, [bad_row])
+    lines = path.read_text().splitlines()
+    assert "" not in lines
+    with pytest.raises(ValidationError) as info:
+        read(path)
+    assert str(info.value) == f"{path}:{len(lines)}: {message}"
+    assert info.value.module == module
+
+
+def test_blank_lines_keep_values_and_count_in_line_numbers(tmp_path):
+    rows = ["1.5,-2,3e-300", "4,5.25,6", "-0.0,8,9"]
+    plain, gapped = tmp_path / "plain.csv", tmp_path / "gapped.csv"
+    plain.write_text("\n".join(["a,b,c", *rows]) + "\n")
+    gapped.write_text("\n".join(["a,b,c", rows[0], "", "  ", rows[1], rows[2],
+                                  "", "\t"]) + "\n")
+    values, line_numbers = read_table(plain, "a,b,c", 3, "test")
+    gapped_values, gapped_line_numbers = read_table(gapped, "a,b,c", 3, "test")
+    assert line_numbers == [2, 3, 4]
+    assert gapped_line_numbers == [2, 5, 6]
+    assert gapped_values.tobytes() == values.tobytes()
+    assert values.view(np.int64).tolist() == np.array(
+        [[1.5, -2, 3e-300], [4, 5.25, 6], [-0.0, 8, 9]]).view(np.int64).tolist()
+
+
+def line_scan(path, lines, n_columns):
+    """The reference reader: one ``float`` per value, line by line."""
+    values, line_numbers = [], []
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != n_columns:
+            raise ValidationError(f"{path}:{lineno}: expected {n_columns} columns, "
+                                  f"got {len(parts)}", module="test")
+        try:
+            row = [float(part) for part in parts]
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: unparsable number",
+                                  module="test") from None
+        if not all(np.isfinite(row)):
+            raise ValidationError(f"{path}:{lineno}: non-finite value", module="test")
+        values += row
+        line_numbers.append(lineno)
+    return np.array(values, dtype=float).reshape(-1, n_columns), line_numbers
+
+
+NUMBER_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v),
+    st.floats(-1e6, 1e6).map(lambda v: f" {v:.3e} "),
+    st.integers(-10**20, 10**20).map(str),
+)
+ODD_TOKENS = st.sampled_from(["1_0", " 2.5 ", "\u0663", "1e", "0x10", "", "nan", "-inf",
+                              "Infinity", "1e400", "-1e-400", "+.5", "5.", "#1", "\t7\u2003",
+                              "1 2", "'1'", "1j", "\u00a0"])
+ROWS = st.one_of(
+    st.lists(NUMBER_TOKENS, min_size=3, max_size=3).map(",".join),
+    st.sampled_from(["", "  ", "\t"]),
+    st.lists(st.one_of(NUMBER_TOKENS, ODD_TOKENS), min_size=1, max_size=4).map(",".join),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(body=st.lists(ROWS, max_size=8))
+@example(body=["1,2,3", "4,5,6"])
+@example(body=["1,2,3", "1_0,\u0663, 2.5 "])
+@example(body=["1,2,3", "", "4,5,6", ""])
+@example(body=["", ""])
+def test_read_table_matches_a_line_scan(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("oracle") / "t.csv"
+    path.write_text("\n".join(["a,b,c", *body]) + "\n")
+    lines = path.read_text().splitlines()[1:]
+    try:
+        want = line_scan(path, lines, 3)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as info, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            read_table(path, "a,b,c", 3, "test")
+        assert str(info.value) == str(exc)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, line_numbers = read_table(path, "a,b,c", 3, "test")
+    assert values.shape == want[0].shape
+    assert values.tobytes() == want[0].tobytes()
+    assert line_numbers == want[1]
 
 
 def test_pinned_spectrum_bytes(tmp_path):

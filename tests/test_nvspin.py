@@ -1,6 +1,7 @@
 """Tests for the NV spin Hamiltonian and transition-frequency solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -269,3 +270,27 @@ class TestSweepFile:
         assert float(row[0]) == bs[2]
         assert float(row[2]) == lv.f_lower
         assert float(row[3]) == lv.f_upper
+
+    # A zero, non-finite or overflowing direction has no unit vector; both
+    # the tuner and the sweep reject it before any field is built.
+    BAD_DIRECTIONS = [[0.0, 0.0, 0.0], [1e308, 1e308, 0.0], [np.nan, 1.0, 0.0],
+                      [np.inf, 0.0, 0.0], [1.0, 0.0]]
+
+    @pytest.mark.parametrize("direction", BAD_DIRECTIONS)
+    def test_bad_direction_rejected_without_warnings(self, tmp_path, direction):
+        path = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="direction must be a nonzero "
+                                                  "finite 3-vector"):
+                write_transition_sweep(path, NV, direction, [0.0, 0.01])
+            with pytest.raises(DomainError, match="direction must be a nonzero "
+                                                  "finite 3-vector"):
+                zeeman_tune(NV, NV_AXES, direction, 3.0e9)
+        assert not path.exists()
+
+    def test_unnormalized_direction_is_scaled(self, tmp_path):
+        scaled, unit = tmp_path / "scaled.csv", tmp_path / "unit.csv"
+        write_transition_sweep(scaled, NV, [0.0, 2.5, 0.0], [0.0, 0.01])
+        write_transition_sweep(unit, NV, [0.0, 1.0, 0.0], [0.0, 0.01])
+        assert scaled.read_text() == unit.read_text()

@@ -459,6 +459,54 @@ class TestFitSpectrum:
             with pytest.raises(FitConvergenceError):
                 sp.fit_spectrum(data, start)
 
+    def test_one_model_evaluation_per_solver_point(self, monkeypatch):
+        # The spectrum and start of acceptance criterion 03.
+        data = sp.with_multiplicative_noise(reference_spectrum(1201), 0.01,
+                                            seed=0)
+        calls = []
+        model_and_jacobian = sp._model_and_jacobian
+
+        def counted(freqs, p):
+            calls.append(p)
+            return model_and_jacobian(freqs, p)
+
+        monkeypatch.setattr(sp, "_model_and_jacobian", counted)
+        result = sp.fit_spectrum(data, self.offset_guess())
+        assert result.n_iterations > 5
+        # One per residual evaluation, plus the final state's curvature.
+        assert len(calls) <= result.n_iterations + 2
+
+    def test_jacobian_is_recomputed_away_from_the_last_residual(self,
+                                                                monkeypatch):
+        from scipy import optimize
+
+        data = sp.with_multiplicative_noise(reference_spectrum(601), 0.01,
+                                            seed=3)
+        start = self.offset_guess()
+        p0 = np.array([start.omega_c, start.kappa, start.omega_s,
+                       start.gamma_star, start.Omega, 1.0])
+        logged = np.array([False, True, False, True, False])
+        seen = {}
+        least_squares = optimize.least_squares
+
+        def probing(fun, x0, jac, **kwargs):
+            x1, x2 = x0 + 1e-3, x0 - 2e-3
+            fun(x1)
+            seen["stale"] = jac(x2)
+            fun(x2)
+            seen["kept"] = jac(x2)
+            seen["x2"] = x2
+            return least_squares(fun, x0, jac=jac, **kwargs)
+
+        monkeypatch.setattr(optimize, "least_squares", probing)
+        sp.fit_spectrum(data, start)
+        p = p0.copy()
+        p[:5] = p0[:5] * np.where(logged, np.exp(seen["x2"]), seen["x2"])
+        _, fresh = sp._model_and_jacobian(data.freq_hz, p)
+        want = fresh[:, :5] * np.where(logged, p[:5], p0[:5])
+        assert np.array_equal(seen["stale"], want)
+        assert np.array_equal(seen["kept"], want)
+
     def test_iteration_cap_raises_with_best_state(self):
         data = reference_spectrum(601)
         with pytest.raises(FitConvergenceError) as excinfo:
@@ -539,6 +587,14 @@ class TestSpectrumFiles:
         path.write_text("freq_Hz,S21_sq\n2.0e9,-20.0\n2.1e9,0.0\n")
         back = sp.read_spectrum(path, magnitude="dB")
         assert back.s21_sq == pytest.approx([0.01, 1.0], rel=1e-12)
+
+    def test_overflowing_db_value_rejected_with_line(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        path.write_text("freq_Hz,S21_sq\n2.0e9,-4000\n2.1e9,3080\n2.2e9,3090\n")
+        with pytest.raises(ValidationError) as info:
+            sp.read_spectrum(path, magnitude="dB")
+        assert str(info.value) == f"{path}:4: dB value 3090.0 overflows |S21|^2"
+        assert info.value.module == "spectroscopy"
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "spec.csv"
