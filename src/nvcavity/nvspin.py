@@ -90,6 +90,12 @@ def _unit_direction(direction) -> np.ndarray:
     direction = np.asarray(direction, dtype=float)
     with np.errstate(over="ignore"):  # an overflowing norm is rejected below
         norm = float(np.linalg.norm(direction))
+    if norm == 0 and direction.shape == (3,) and np.all(np.isfinite(direction)):
+        # The squares of a tiny nonzero vector underflow; rescale it first.
+        largest = np.max(np.abs(direction))
+        if largest > 0:
+            direction = direction / largest
+            norm = float(np.linalg.norm(direction))
     if direction.shape != (3,) or not (norm > 0 and math.isfinite(norm)):
         raise DomainError("direction must be a nonzero finite 3-vector", module=_MODULE)
     return direction / norm

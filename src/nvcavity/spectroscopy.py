@@ -10,9 +10,9 @@ spin ensemble.  All quantities, probe frequency included, are ordinary
 frequencies in Hz; the expression is invariant under a uniform 2*pi
 rescaling, so angular units work too as long as they are consistent.
 
-Fitting is one Levenberg-Marquardt solve (MINPACK through scipy
-``least_squares``) fed the exact Jacobian of the model,
-d|S21|^2/dp = 2 Re(conj(t) dt/dp).  Model and Jacobian come from one
+Fitting is one Levenberg-Marquardt solve, a short numpy solver with
+MINPACK's scaling and stopping tests, fed the exact Jacobian of the
+model, d|S21|^2/dp = 2 Re(conj(t) dt/dp).  Model and Jacobian come from one
 evaluation, so each solver point costs one; the Jacobian also gives the
 exact curvature J^T J reported with each fit.
 """
@@ -276,8 +276,8 @@ class FitResult:
     residual is the sum of squared differences; curvature is the exact
     J^T J of the residuals over the fitted parameters in their physical
     units (a covariance proxy up to noise scaling), ordered like
-    param_names.  n_iterations counts the solver's model evaluations
-    (scipy's ``nfev``); Jacobian evaluations are not included.
+    param_names.  n_iterations counts the solver's model evaluations,
+    each of which gives the residuals and the Jacobian together.
     """
 
     system: CoupledSystem
@@ -329,6 +329,60 @@ def _model_and_jacobian(freqs: np.ndarray, p: np.ndarray):
     return amplitude * t_sq, jac
 
 
+def _levenberg_marquardt(fun, x0: np.ndarray, max_nfev: int):
+    """Minimize the cost |r(x)|^2, where ``fun(x)`` returns (r, J).
+
+    Each step solves (Js^T Js + lam I) z = -Js^T r and moves x by z / D,
+    where D holds the largest column norms of J seen so far and
+    Js = J / D (Marquardt's scaling, as in MINPACK; More, LNM 630, 1978).
+    lam starts at 1e-3 max diag(Js^T Js) and follows Nielsen's update.
+    A trial point whose cost or Jacobian is not finite is a rejected step.
+    The solve has converged when max |Js^T r| <= tol |r|, when the actual
+    and predicted cost reductions are both <= tol cost, or when
+    |z| <= tol (|D x| + tol), with tol = 1e-12; it gives up after
+    ``max_nfev`` calls of ``fun``, or at once if the start's cost or
+    Jacobian is not finite.  Returns (x, calls of fun, converged).
+    """
+    tol = 1e-12
+    x = x0
+    r, jac = fun(x)
+    nfev, cost, moved = 1, r @ r, True
+    col_max = np.zeros(x.size)
+    lam, nu = None, 2.0
+    while True:
+        if moved:
+            col_max = np.maximum(col_max, np.linalg.norm(jac, axis=0))
+            d = np.where(col_max > 0, col_max, 1.0)
+            js = jac / d
+            a, g = js.T @ js, js.T @ r
+            if not (math.isfinite(cost) and np.all(np.isfinite(a))):
+                return x, nfev, False
+            if np.max(np.abs(g)) <= tol * math.sqrt(cost):
+                return x, nfev, True
+            if lam is None:
+                lam = 1e-3 * np.max(np.diag(a))
+        if nfev >= max_nfev:
+            return x, nfev, False
+        z = np.linalg.solve(a + lam * np.eye(x.size), -g)
+        x_trial = x + z / d
+        r_trial, jac_trial = fun(x_trial)
+        nfev += 1
+        cost_trial = r_trial @ r_trial
+        actual = cost - cost_trial
+        predicted = z @ (a @ z) + 2.0 * lam * (z @ z)
+        converged = (abs(actual) <= tol * cost and predicted <= tol * cost
+                     or np.linalg.norm(z) <= tol * (np.linalg.norm(d * x) + tol))
+        moved = bool(actual > 0 and np.all(np.isfinite(jac_trial)))
+        if moved:
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * actual / predicted - 1.0)**3)
+            nu = 2.0
+            x, r, jac, cost = x_trial, r_trial, jac_trial, cost_trial
+        else:
+            lam, nu = lam * nu, 2.0 * nu
+        if converged:
+            return x, nfev, True
+
+
 def fit_spectrum(data: Spectrum, initial: CoupledSystem, free=None,
                  initial_amplitude: float | None = None,
                  max_iterations: int = 200) -> FitResult:
@@ -340,18 +394,18 @@ def fit_spectrum(data: Spectrum, initial: CoupledSystem, free=None,
     A0 starts at ``initial_amplitude``; when that is None it starts at 1
     if A0 is fixed, and at the least-squares scale of the start model,
     (m . d) / (m . m), if A0 is free.
-    One unbounded Levenberg-Marquardt solve (scipy ``least_squares``,
-    ``method="lm"``) runs with the exact Jacobian of the model, in the
-    coordinates p / p0 for the frequencies and Omega and log(p / p0) for
-    kappa, gamma* and A0, which keeps those three positive.  The
-    Jacobian at a point is the one computed with its residuals, so each
-    solver point costs one model evaluation.
+    One unbounded Levenberg-Marquardt solve (``_levenberg_marquardt``)
+    runs with the exact Jacobian of the model, in the coordinates
+    p / p0 for the frequencies and Omega and log(p / p0) for kappa,
+    gamma* and A0, which keeps those three positive.  Each solver point
+    costs one model evaluation, which gives residuals and Jacobian.
     ``max_iterations`` caps the solver's model evaluations;
     ``n_iterations`` reports how many it made.  The model depends on
     Omega only through Omega^2, so |Omega| is reported; a free Omega
     cannot leave 0, so a start there is a domain error.  Raises a
-    fit-convergence error when the cap stops the solver, or when it ends
-    at a non-positive frequency or a non-finite value; its ``best``
+    fit-convergence error when the cap stops the solver (or a start
+    whose cost or Jacobian is not finite does), or when it ends at a
+    non-positive frequency or a non-finite value; its ``best``
     holds the final state, or the start when the final state is not
     physical.
     """
@@ -395,49 +449,33 @@ def fit_spectrum(data: Spectrum, initial: CoupledSystem, free=None,
         p[index] = start[index] * np.where(logged, np.exp(x), x)
         return p
 
-    # MINPACK asks for the Jacobian at the point whose residuals it has
-    # just evaluated; at any other point it is computed afresh.
-    last_x, last_jac = None, None
-
-    def residuals(x: np.ndarray) -> np.ndarray:
-        nonlocal last_x, last_jac
-        model, last_jac = _model_and_jacobian(freqs, unpack(x))
-        last_x = x.copy()
-        return model - data.s21_sq
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
+    def residuals_and_jacobian(x: np.ndarray):
         p = unpack(x)
-        jac = (last_jac if np.array_equal(x, last_x)
-               else _model_and_jacobian(freqs, p)[1])
+        model, jac = _model_and_jacobian(freqs, p)
         dp_dx = np.where(logged, p[index], start[index])
-        return jac[:, index] * dp_dx
+        return model - data.s21_sq, jac[:, index] * dp_dx
 
-    # scipy is imported here, not at module level, so that only fits pay
-    # for it at start-up.
-    from scipy import optimize
-
-    # Trial steps far from the data can overflow; the solver rejects them.
+    # Trial steps far from the data can overflow; the solver rejects them,
+    # and a start that overflows is reported, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = optimize.least_squares(
-            residuals, np.where(logged, 0.0, 1.0), jac=jacobian, method="lm",
-            xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=max_iterations)
-        p = unpack(sol.x)
-
-    p[4] = abs(p[4])
-    # Omega is now >= 0; every other parameter must be positive.
-    physical = bool(np.all(np.isfinite(p)) and np.all(np.delete(p, 4) > 0))
-    best = p if physical else start
-    model, jac = _model_and_jacobian(freqs, best)
-    r = model - data.s21_sq
-    jac = jac[:, index]
+        x, nfev, converged = _levenberg_marquardt(
+            residuals_and_jacobian, np.where(logged, 0.0, 1.0), max_iterations)
+        p = unpack(x)
+        p[4] = abs(p[4])
+        # Omega is now >= 0; every other parameter must be positive.
+        physical = bool(np.all(np.isfinite(p)) and np.all(np.delete(p, 4) > 0))
+        best = p if physical else start
+        model, jac = _model_and_jacobian(freqs, best)
+        r = model - data.s21_sq
+        jac = jac[:, index]
+        residual, curvature = float(r @ r), jac.T @ jac
     result = FitResult(system=CoupledSystem(*best[:5].tolist()),
-                       amplitude=float(best[5]), residual=float(r @ r),
-                       curvature=jac.T @ jac, param_names=free,
-                       n_iterations=int(sol.nfev))
-    if sol.status == 0:
+                       amplitude=float(best[5]), residual=residual,
+                       curvature=curvature, param_names=free, n_iterations=nfev)
+    if not converged:
         raise FitConvergenceError(
-            f"fit did not converge within {max_iterations} model evaluations "
-            f"(residual {result.residual:.6g})", best=result)
+            f"fit stopped after {nfev} model evaluations (cap {max_iterations}) "
+            f"without converging (residual {result.residual:.6g})", best=result)
     if not physical:
         state = ", ".join(f"{n} = {v:.6g}" for n, v in zip(_FIT_PARAM_NAMES, p))
         raise FitConvergenceError(f"fit ended at a non-physical state ({state}); "

@@ -124,6 +124,20 @@ class TestSpins:
             assert f_lo == levels.f_lower
             assert f_hi == levels.f_upper
 
+    def test_underflowing_direction_matches_unit_direction(self, tmp_path,
+                                                           capsys):
+        # 1e-200 squared underflows, so its norm must not be taken directly.
+        runs = {}
+        for name, x in (("tiny", "1e-200"), ("unit", "1")):
+            out = tmp_path / f"{name}.csv"
+            rc, stdout, stderr = run_cli(capsys, "spins", "--direction", x, 0,
+                                         0, "--tune-to-GHz", 3.0, "--out", out)
+            assert (rc, stderr) == (0, "")
+            tuned = [l for l in stdout.splitlines() if l.startswith("tuned_B_T=")]
+            runs[name] = (tuned, out.read_text())
+        assert runs["tiny"] == runs["unit"]
+        assert len(runs["unit"][0]) == 1
+
     @pytest.mark.parametrize("direction", [(0, 0, 0), (1e308, 1e308, 0)])
     def test_degenerate_direction_is_domain_error(self, tmp_path, capsys,
                                                   direction):
@@ -388,6 +402,25 @@ class TestFit:
                           f"4000.0 overflows |S21|^2\n")
         assert not out.exists()
 
+    def test_overflowing_start_is_not_a_converged_fit(self, tmp_path, capsys):
+        # A 1 mHz cavity line on a probe sample, scaled by 1e306: the
+        # squared residuals and the Jacobian overflow at the start.
+        data = tmp_path / "spec.csv"
+        self.write_reference_spectrum(data)
+        out = tmp_path / "fit.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, stdout, stderr = run_cli(
+                capsys, "fit", "--data", data, "--omega-c-GHz", 3.121,
+                "--kappa-MHz", 1e-9, "--omega-s-GHz", 3.122,
+                "--gamma-star-MHz", 1e-9, "--Omega-MHz", 1e-3, "--free",
+                "omega_c,kappa,omega_s,gamma_star,Omega,amplitude",
+                "--initial-amplitude", 1e306, "--out", out)
+        assert (rc, stdout) == (1, "")
+        assert stderr.startswith("ERROR:spectroscopy:fit_nonconverged: ")
+        assert "(residual inf)" in stderr
+        assert not out.exists()
+
     def test_zero_iterations_rejected(self, tmp_path, capsys):
         data = tmp_path / "spec.csv"
         self.write_reference_spectrum(data)
@@ -439,7 +472,20 @@ class TestConstants:
 
 
 _COLD_PIPELINE = """
+import importlib.abc
 import sys
+
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+        return None
+
+
+if sys.argv[1:] == ["--refuse-scipy"]:
+    sys.meta_path.insert(0, RefuseScipy())
+
 from nvcavity.cli import main
 
 steps = [
@@ -462,29 +508,31 @@ steps = [
      "12.46", "--f-min-GHz", "3.091", "--f-max-GHz", "3.151",
      "--n-points", "601", "--noise-fraction", "0.01", "--seed", "7",
      "--out", "spectrum.csv"],
+    ["fit", "--data", "spectrum.csv", "--omega-c-GHz", "3.1207",
+     "--kappa-MHz", "1.4", "--omega-s-GHz", "3.1214",
+     "--gamma-star-MHz", "2.2", "--Omega-MHz", "9", "--out", "fit.json"],
 ]
 for argv in steps:
     assert main(argv) == 0, argv
-print("scipy loaded before fit:", "scipy" in sys.modules)
-rc = main(["fit", "--data", "spectrum.csv", "--omega-c-GHz", "3.1207",
-           "--kappa-MHz", "1.4", "--omega-s-GHz", "3.1214",
-           "--gamma-star-MHz", "2.2", "--Omega-MHz", "9", "--out", "fit.json"])
-print("fit exit:", rc)
+print("scipy loaded:", "scipy" in sys.modules)
 """
 
 
-def test_only_fit_imports_scipy(tmp_path):
+def test_no_subcommand_imports_scipy(tmp_path):
     import nvcavity
 
     src = str(Path(nvcavity.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-c", _COLD_PIPELINE],
-                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "scipy loaded before fit: False" in proc.stdout
-    assert "fit exit: 0" in proc.stdout
-    payload = json.loads((tmp_path / "fit.json").read_text())
-    assert payload["Omega_Hz"] == pytest.approx(12.46e6, rel=0.02)
+    # Once as is, once with every scipy import refused.
+    for extra in ([], ["--refuse-scipy"]):
+        cwd = tmp_path / (extra[0][2:] if extra else "plain")
+        cwd.mkdir()
+        proc = subprocess.run([sys.executable, "-c", _COLD_PIPELINE, *extra],
+                              cwd=cwd, env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "scipy loaded: False" in proc.stdout
+        payload = json.loads((cwd / "fit.json").read_text())
+        assert payload["Omega_Hz"] == pytest.approx(12.46e6, rel=0.02)
 
 
 class TestErrorProtocol:

@@ -289,6 +289,21 @@ class TestSweepFile:
                 zeeman_tune(NV, NV_AXES, direction, 3.0e9)
         assert not path.exists()
 
+    # The squared components of these underflow, so a plain norm reads 0.
+    @pytest.mark.parametrize("tiny, unit", [
+        ([1e-200, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([0.0, -5e-324, 0.0], [0.0, -1.0, 0.0]),
+        ([1e-170, 1e-170, 0.0], [1.0, 1.0, 0.0])])
+    def test_underflowing_direction_is_rescaled(self, tmp_path, tiny, unit):
+        small, plain = tmp_path / "small.csv", tmp_path / "plain.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_transition_sweep(small, NV, tiny, [0.0, 0.01])
+            b_small = zeeman_tune(NV, NV_AXES, tiny, 3.0e9)
+        write_transition_sweep(plain, NV, unit, [0.0, 0.01])
+        assert small.read_text() == plain.read_text()
+        assert b_small == zeeman_tune(NV, NV_AXES, unit, 3.0e9)
+
     def test_unnormalized_direction_is_scaled(self, tmp_path):
         scaled, unit = tmp_path / "scaled.csv", tmp_path / "unit.csv"
         write_transition_sweep(scaled, NV, [0.0, 2.5, 0.0], [0.0, 0.01])

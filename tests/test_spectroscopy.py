@@ -473,39 +473,148 @@ class TestFitSpectrum:
         monkeypatch.setattr(sp, "_model_and_jacobian", counted)
         result = sp.fit_spectrum(data, self.offset_guess())
         assert result.n_iterations > 5
-        # One per residual evaluation, plus the final state's curvature.
-        assert len(calls) <= result.n_iterations + 2
+        # One per solver point, plus the final state's curvature.
+        assert len(calls) == result.n_iterations + 1
 
-    def test_jacobian_is_recomputed_away_from_the_last_residual(self,
-                                                                monkeypatch):
+    # Spectra over the benchmark's seeded-fit ranges, starts over the
+    # poor-start matrix ranges; the amplitude is fixed at 1 or free.
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(u=st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9),
+           amplitude_free=st.booleans(), noise_seed=st.integers(0, 2**31 - 1))
+    def test_converges_wherever_minpack_does(self, u, amplitude_free,
+                                             noise_seed):
         from scipy import optimize
 
-        data = sp.with_multiplicative_noise(reference_spectrum(601), 0.01,
-                                            seed=3)
-        start = self.offset_guess()
+        omega_s = REFERENCE_POINT.omega_s + 1e6 * (2 * u[0] - 1)
+        truth = sp.CoupledSystem(
+            omega_c=omega_s + 1e6 * (2 * u[1] - 1),
+            kappa=REFERENCE_POINT.kappa * (0.85 + 0.3 * u[2]),
+            omega_s=omega_s,
+            gamma_star=REFERENCE_POINT.gamma_star * (0.85 + 0.3 * u[3]),
+            Omega=REFERENCE_POINT.Omega * (0.85 + 0.3 * u[4]))
+        amplitude = 0.5 + 0.45 * u[5] if amplitude_free else 1.0
+        clean = sp.spectrum(truth, 3.091e9, 3.151e9, 601)
+        data = sp.with_multiplicative_noise(
+            sp.Spectrum(freq_hz=clean.freq_hz, s21_sq=amplitude * clean.s21_sq),
+            0.01, seed=noise_seed)
+        detuning = 2e6 * (2 * u[6] - 1)
+        linewidth = 0.5 + u[7]
+        start = sp.CoupledSystem(
+            omega_c=truth.omega_c + detuning, kappa=truth.kappa * linewidth,
+            omega_s=truth.omega_s - detuning,
+            gamma_star=truth.gamma_star * linewidth,
+            Omega=truth.Omega * 0.5 * 4.0 ** u[8])
+        free = sp._FIT_PARAM_NAMES if amplitude_free else sp._PARAM_NAMES
+
+        # MINPACK on the same coordinates, start and Jacobian.
         p0 = np.array([start.omega_c, start.kappa, start.omega_s,
                        start.gamma_star, start.Omega, 1.0])
-        logged = np.array([False, True, False, True, False])
-        seen = {}
-        least_squares = optimize.least_squares
+        if amplitude_free:
+            m = sp.s21_squared(start, data.freq_hz)
+            p0[5] = m @ data.s21_sq / (m @ m)
+        n = len(free)
+        logged = np.array([False, True, False, True, False, True])[:n]
 
-        def probing(fun, x0, jac, **kwargs):
-            x1, x2 = x0 + 1e-3, x0 - 2e-3
-            fun(x1)
-            seen["stale"] = jac(x2)
-            fun(x2)
-            seen["kept"] = jac(x2)
-            seen["x2"] = x2
-            return least_squares(fun, x0, jac=jac, **kwargs)
+        def unpack(x):
+            p = p0.copy()
+            p[:n] = p0[:n] * np.where(logged, np.exp(x), x)
+            return p
 
-        monkeypatch.setattr(optimize, "least_squares", probing)
-        sp.fit_spectrum(data, start)
-        p = p0.copy()
-        p[:5] = p0[:5] * np.where(logged, np.exp(seen["x2"]), seen["x2"])
-        _, fresh = sp._model_and_jacobian(data.freq_hz, p)
-        want = fresh[:, :5] * np.where(logged, p[:5], p0[:5])
-        assert np.array_equal(seen["stale"], want)
-        assert np.array_equal(seen["kept"], want)
+        def residuals(x):
+            return sp._model_and_jacobian(data.freq_hz, unpack(x))[0] - data.s21_sq
+
+        def jacobian(x):
+            p = unpack(x)
+            jac = sp._model_and_jacobian(data.freq_hz, p)[1][:, :n]
+            return jac * np.where(logged, p[:n], p0[:n])
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = optimize.least_squares(
+                residuals, np.where(logged, 0.0, 1.0), jac=jacobian, method="lm",
+                xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=200)
+            want = unpack(sol.x)
+            want_residual = float(sol.fun @ sol.fun)
+        if not (sol.status > 0 and np.all(np.isfinite(want))
+                and np.all(np.delete(want, 4) > 0)):
+            return
+        result = sp.fit_spectrum(data, start, free=free)
+        assert result.residual <= want_residual * (1 + 1e-12)
+        assert result.system.Omega == pytest.approx(abs(want[4]), rel=1e-6)
+
+    def test_overflowing_trial_steps_are_rejected(self, monkeypatch):
+        # From a 100x cavity linewidth and Omega = 0.3 MHz, trial steps
+        # overflow on the way to a (wrong) minimum.
+        data = sp.with_multiplicative_noise(reference_spectrum(1201), 0.01,
+                                            seed=3)
+        start = replace(self.offset_guess(), kappa=1.4e8, Omega=3e5)
+        costs = []
+        model_and_jacobian = sp._model_and_jacobian
+
+        def recorded(freqs, p):
+            model, jac = model_and_jacobian(freqs, p)
+            r = model - data.s21_sq
+            costs.append(r @ r if np.all(np.isfinite(jac)) else math.inf)
+            return model, jac
+
+        monkeypatch.setattr(sp, "_model_and_jacobian", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = sp.fit_spectrum(data, start)
+        assert not all(math.isfinite(c) for c in costs)
+        assert result.residual == costs[-1] == min(costs)
+
+    def test_trial_point_with_non_finite_jacobian_is_rejected(self,
+                                                               monkeypatch):
+        data = sp.with_multiplicative_noise(reference_spectrum(601), 0.01,
+                                            seed=3)
+        clean = sp.fit_spectrum(data, self.offset_guess())
+        model_and_jacobian = sp._model_and_jacobian
+        calls = []
+
+        def broken_once(freqs, p):
+            model, jac = model_and_jacobian(freqs, p)
+            calls.append(p)
+            if len(calls) == 2:  # the first trial point
+                jac[7, 1] = np.nan
+            return model, jac
+
+        monkeypatch.setattr(sp, "_model_and_jacobian", broken_once)
+        result = sp.fit_spectrum(data, self.offset_guess())
+        assert result.residual <= clean.residual * (1 + 1e-9)
+        assert result.system.Omega == pytest.approx(clean.system.Omega, rel=1e-6)
+
+    def test_start_with_non_finite_jacobian_raises(self, monkeypatch):
+        data = reference_spectrum(601)
+        model_and_jacobian = sp._model_and_jacobian
+
+        def broken(freqs, p):
+            model, jac = model_and_jacobian(freqs, p)
+            jac[7, 1] = np.nan
+            return model, jac
+
+        monkeypatch.setattr(sp, "_model_and_jacobian", broken)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitConvergenceError,
+                               match="without converging") as excinfo:
+                sp.fit_spectrum(data, self.offset_guess())
+        best = excinfo.value.best
+        assert best.system == self.offset_guess()
+        assert best.n_iterations == 1
+
+    def test_start_with_infinite_cost_raises(self):
+        # A 1 mHz cavity line on a probe sample, scaled by 1e306: the
+        # residuals overflow when squared and the Jacobian overflows.
+        data = reference_spectrum(601)
+        start = sp.CoupledSystem(omega_c=data.freq_hz[300], kappa=1e-3,
+                                 omega_s=data.freq_hz[300] + 1e6,
+                                 gamma_star=1e-3, Omega=1e3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitConvergenceError) as excinfo:
+                sp.fit_spectrum(data, start, free=sp._FIT_PARAM_NAMES,
+                                initial_amplitude=1e306)
+        assert excinfo.value.best.residual == math.inf
 
     def test_iteration_cap_raises_with_best_state(self):
         data = reference_spectrum(601)
@@ -514,6 +623,9 @@ class TestFitSpectrum:
         best = excinfo.value.best
         assert isinstance(best, sp.FitResult)
         assert best.residual >= 0.0
+        # The one evaluation is the start's, so the start is the best state.
+        assert best.system == self.offset_guess()
+        assert best.n_iterations == 1
 
     def test_unknown_parameter_rejected(self):
         data = reference_spectrum(101)
