@@ -15,6 +15,20 @@ from .errors import DomainError
 _MODULE = "circuit"
 
 
+def _require_positive(value: float, name: str) -> None:
+    if not 0 < value < math.inf:
+        raise DomainError(f"{name} must be a positive finite number, got {value!r}",
+                          module=_MODULE)
+
+
+def _omega_squared(f_target: float) -> float:
+    _require_positive(f_target, "f_target")
+    try:
+        return (2.0 * math.pi * f_target) ** 2
+    except OverflowError:
+        raise DomainError(f"f_target {f_target!r} Hz is too high", module=_MODULE) from None
+
+
 @dataclass(frozen=True)
 class CavityGeometry:
     """Bow-tie geometry. Lengths in meters, area in square meters.
@@ -58,8 +72,7 @@ def series_capacitance(geom: CavityGeometry, relative_permittivity: float = 1.0)
     C_tot = eps0 * eps_r * A / (2 d).  ``relative_permittivity`` covers
     dielectric-loaded gaps; the default is a vacuum/air gap.
     """
-    if relative_permittivity <= 0:
-        raise DomainError("relative_permittivity must be > 0", module=_MODULE)
+    _require_positive(relative_permittivity, "relative_permittivity")
     return EPSILON_0 * relative_permittivity * geom.plate_area / (2.0 * geom.gap)
 
 
@@ -72,8 +85,7 @@ def flat_wire_inductance(geom: CavityGeometry, inductance_scale: float = 1.0) ->
     for matching a measured or simulated resonance.
     """
     l, w = geom.path_length, geom.path_width
-    if inductance_scale <= 0:
-        raise DomainError("inductance_scale must be > 0", module=_MODULE)
+    _require_positive(inductance_scale, "inductance_scale")
     return inductance_scale * (MU_0 / (2.0 * math.pi)) * l * (math.log(l / w) + w / l)
 
 
@@ -82,6 +94,10 @@ def eigenfrequency(geom: CavityGeometry, inductance_scale: float = 1.0,
     """Cavity eigenfrequency from geometry: omega_c = 1/sqrt(L_tot C_tot)."""
     c_total = series_capacitance(geom, relative_permittivity)
     l_total = flat_wire_inductance(geom, inductance_scale)
+    # With C, L and LC positive and finite, f_c is positive and finite too.
+    if not all(0 < v < math.inf for v in (c_total, l_total, l_total * c_total)):
+        raise DomainError(f"circuit out of range: C_total={c_total!r} F, "
+                          f"L_total={l_total!r} H", module=_MODULE)
     omega_c = 1.0 / math.sqrt(l_total * c_total)
     return CircuitParams(c_total=c_total, l_total=l_total,
                          omega_c_rad_per_s=omega_c, f_c=omega_c / (2.0 * math.pi))
@@ -96,13 +112,10 @@ def gap_for_frequency(geom: CavityGeometry, f_target: float,
     omega^2 = 1/(LC), the gap is d = eps0 eps_r A L omega^2 / 2.
     ``geom.gap`` is ignored; the other geometry fields are kept fixed.
     """
-    if f_target <= 0:
-        raise DomainError("f_target must be > 0", module=_MODULE)
-    if relative_permittivity <= 0:
-        raise DomainError("relative_permittivity must be > 0", module=_MODULE)
+    omega_sq = _omega_squared(f_target)
+    _require_positive(relative_permittivity, "relative_permittivity")
     l_total = flat_wire_inductance(geom, inductance_scale)
-    omega = 2.0 * math.pi * f_target
-    return EPSILON_0 * relative_permittivity * geom.plate_area * l_total * omega**2 / 2.0
+    return EPSILON_0 * relative_permittivity * geom.plate_area * l_total * omega_sq / 2.0
 
 
 def inductance_scale_for_frequency(geom: CavityGeometry, f_target: float,
@@ -112,9 +125,7 @@ def inductance_scale_for_frequency(geom: CavityGeometry, f_target: float,
     Companion inverse to :func:`gap_for_frequency` for calibrating the
     flat-wire proportionality against a known resonance.
     """
-    if f_target <= 0:
-        raise DomainError("f_target must be > 0", module=_MODULE)
+    omega_sq = _omega_squared(f_target)
     c_total = series_capacitance(geom, relative_permittivity)
     l_unit = flat_wire_inductance(geom, 1.0)
-    omega = 2.0 * math.pi * f_target
-    return 1.0 / (l_unit * c_total * omega**2)
+    return 1.0 / (l_unit * c_total * omega_sq)

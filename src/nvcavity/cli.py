@@ -267,9 +267,11 @@ def _input_path(opts, command, key) -> str:
     return path
 
 
-def _plot_path(out_path: str) -> str:
-    root, _ = os.path.splitext(out_path)
-    return root + ".dat"
+def _write_plot(out_path: str, header: str, rows) -> None:
+    """Write gnuplot columns next to ``out_path``, as <root>.dat."""
+    plot = os.path.splitext(out_path)[0] + ".dat"
+    write_table(plot, header, rows, sep=" ")
+    print(f"wrote {plot}")
 
 
 def cmd_design(opts) -> int:
@@ -317,9 +319,7 @@ def cmd_design(opts) -> int:
                                        path_length=length, path_width=width)
             sweep.append((d, circuit.eigenfrequency(
                 g, inductance_scale=k_l, relative_permittivity=eps_r).f_c))
-        plot = _plot_path(out)
-        write_table(plot, "# gap_m f_c_Hz", sweep, sep=" ")
-        print(f"wrote {plot}")
+        _write_plot(out, "# gap_m f_c_Hz", sweep)
     return 0
 
 
@@ -343,19 +343,11 @@ def cmd_spins(opts) -> int:
         print(f"tuned_B_T={b_star:.17g}")
 
     out = opts["out"]
-    nvspin.write_transition_sweep(out, species, direction, b_values)
+    rows = nvspin.write_transition_sweep(out, species, direction, b_values)
     print(f"wrote {out}")
     if opts["emit_plot_data"]:
-        rows = []
-        for b_mag in b_values:
-            levels = nvspin.transition_frequencies(species, nvspin.NV_AXES[0],
-                                                   b_mag * direction
-                                                   / np.linalg.norm(direction))
-            rows.append((b_mag, levels.f_lower, levels.f_upper))
-        plot = _plot_path(out)
-        write_table(plot, "# B_T f_lower_Hz f_upper_Hz (sub-ensemble 0)", rows,
-                    sep=" ")
-        print(f"wrote {plot}")
+        _write_plot(out, "# B_T f_lower_Hz f_upper_Hz (sub-ensemble 0)",
+                    [(b, f_lo, f_up) for b, axis, f_lo, f_up in rows if axis == 0])
     return 0
 
 
@@ -395,9 +387,7 @@ def cmd_fieldmap(opts) -> int:
             rows = [(edge, fraction) if math.isfinite(edge)
                     else (10.0 * report.max_deviation + 1.0, fraction)
                     for edge, fraction in report.contour_histogram]
-            plot = _plot_path(out_report)
-            write_table(plot, "# deviation_bin_edge volume_fraction", rows, sep=" ")
-            print(f"wrote {plot}")
+            _write_plot(out_report, "# deviation_bin_edge volume_fraction", rows)
     return 0
 
 
@@ -454,9 +444,7 @@ def cmd_spectrum(opts) -> int:
                 rows.extend((d, nu, grid.s21_sq[i, j])
                             for j, nu in enumerate(grid.nu_p_hz))
                 rows.append(None)
-            plot = _plot_path(out)
-            write_table(plot, "# delta_s_Hz nu_p_Hz S21_sq", rows, sep=" ")
-            print(f"wrote {plot}")
+            _write_plot(out, "# delta_s_Hz nu_p_Hz S21_sq", rows)
         return 0
 
     _require(opts, "spectrum", "f_min_GHz", "f_max_GHz")
@@ -470,10 +458,7 @@ def cmd_spectrum(opts) -> int:
     spectroscopy.write_spectrum(out, spec)
     print(f"wrote {out}")
     if opts["emit_plot_data"]:
-        plot = _plot_path(out)
-        write_table(plot, "# freq_Hz S21_sq", zip(spec.freq_hz, spec.s21_sq),
-                    sep=" ")
-        print(f"wrote {plot}")
+        _write_plot(out, "# freq_Hz S21_sq", zip(spec.freq_hz, spec.s21_sq))
     return 0
 
 
@@ -495,10 +480,8 @@ def cmd_fit(opts) -> int:
           f"residual = {result.residual:.6g}")
     if opts["emit_plot_data"]:
         model = spectroscopy.s21_squared(result.system, data.freq_hz)
-        rows = zip(data.freq_hz, data.s21_sq, result.amplitude * model)
-        plot = _plot_path(out)
-        write_table(plot, "# freq_Hz S21_sq_data S21_sq_model", rows, sep=" ")
-        print(f"wrote {plot}")
+        _write_plot(out, "# freq_Hz S21_sq_data S21_sq_model",
+                    zip(data.freq_hz, data.s21_sq, result.amplitude * model))
     return 0
 
 

@@ -18,8 +18,7 @@ import numpy as np
 
 from .constants import BOHR_MAGNETON, CARBON_SITE_DENSITY_M3, PLANCK_H, SPIN_MATRIX_ELEMENT
 from .errors import DomainError
-from .fieldmap import (FieldMap, SampleRegion, region_cell_magnitudes,
-                       weighted_deviations)
+from .fieldmap import FieldMap, SampleRegion, homogeneity
 from .nvspin import SpinSpecies
 
 _MODULE = "coupling"
@@ -56,15 +55,11 @@ class EnsembleSpec:
 class CouplingReport:
     """Coupling summary over a sample region.
 
-    g0_map holds the single-spin coupling at every grid-cell center [Hz]
-    (the full cell array of the parent map); region_weights holds each
-    cell's overlap volume with the region [m^3], zero outside.  The
-    scalar statistics are weighted by those volumes.  cooperativity is
+    g0_mean is the volume-weighted mean single-spin coupling over the
+    region; its deviations are fractions of that mean.  cooperativity is
     None when no linewidths were supplied.
     """
 
-    g0_map: np.ndarray
-    region_weights: np.ndarray
     g0_mean: float  # Hz
     g0_rms_deviation: float
     g0_max_deviation: float
@@ -147,7 +142,12 @@ def cooperativity(omega: float, kappa: float, gamma_star: float) -> float:
         raise DomainError("gamma_star must be > 0", module=_MODULE)
     if not (omega >= 0 and math.isfinite(omega)):
         raise DomainError("omega must be >= 0 and finite", module=_MODULE)
-    return omega * omega / (kappa * gamma_star)
+    rates = kappa * gamma_star
+    coop = omega * omega / rates if rates > 0 else math.inf
+    if not math.isfinite(coop):
+        raise DomainError("cooperativity overflows: kappa * gamma_star is too "
+                          "small for omega", module=_MODULE)
+    return coop
 
 
 def coupling_report(fmap: FieldMap, ens: EnsembleSpec,
@@ -156,19 +156,18 @@ def coupling_report(fmap: FieldMap, ens: EnsembleSpec,
                     gamma_star: float | None = None) -> CouplingReport:
     """Full coupling summary of a vacuum-normalized map over a region.
 
-    The per-cell g0 values are the coupling rate times the cell-center
-    field magnitudes, so their relative deviation statistics coincide
-    with the field-homogeneity statistics.  Cooperativity is filled in
-    when both linewidths (HWHM, Hz) are given.
+    g0 is the coupling rate times |B|, so its statistics are the
+    :func:`~nvcavity.fieldmap.homogeneity` report over the region, the
+    mean scaled by the rate and the relative deviations unchanged.
+    Cooperativity is filled in when both linewidths (HWHM, Hz) are given.
     """
     if not fmap.normalized:
         raise DomainError(
             "coupling_report needs a vacuum-normalized map; call "
             "normalize_to_vacuum first", module=_MODULE)
-    values, weights = region_cell_magnitudes(fmap, ens.region)
-    mean_field, g0_rms, g0_max, _ = weighted_deviations(values, weights)
+    field = homogeneity(fmap, ens.region)
     rate = _coupling_rate_per_tesla(species, ens.s_matrix_element)
-    g0_mean = rate * mean_field
+    g0_mean = rate * field.mean_field_t
     n = spin_count(ens)
     omega = collective_coupling(g0_mean, n)
     coop = None
@@ -177,8 +176,7 @@ def coupling_report(fmap: FieldMap, ens: EnsembleSpec,
     elif (kappa is None) != (gamma_star is None):
         raise DomainError("kappa and gamma_star must be given together",
                           module=_MODULE)
-    return CouplingReport(g0_map=rate * values, region_weights=weights,
-                          g0_mean=g0_mean, g0_rms_deviation=g0_rms,
-                          g0_max_deviation=g0_max, n_spins=n, omega=omega,
-                          cooperativity=coop)
+    return CouplingReport(g0_mean=g0_mean, g0_rms_deviation=field.rms_deviation,
+                          g0_max_deviation=field.max_deviation, n_spins=n,
+                          omega=omega, cooperativity=coop)
 

@@ -24,6 +24,12 @@ _MODULE = "fieldmap"
 
 _CSV_HEADER = "x_m,y_m,z_m,Bx_T,By_T,Bz_T"
 _META_SUFFIX = ".meta"
+# The sidecar's keys in file order, each with its value type; only a
+# normalized map has the last one.
+_SIDECAR_KEYS = {"nx": int, "ny": int, "nz": int,
+                 "origin_x_m": float, "origin_y_m": float, "origin_z_m": float,
+                 "spacing_x_m": float, "spacing_y_m": float, "spacing_z_m": float,
+                 "energy_J": float, "photon_frequency_Hz": float}
 
 # Closest allowed approach of a grid node to a sheet surface [m].
 _SINGULARITY_STANDOFF = 1e-9
@@ -128,12 +134,6 @@ class FieldMap:
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return tuple(_axis_nodes(self.origin[i], self.spacing[i], self.dims[i])
                      for i in range(3))
-
-    @property
-    def hull(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) corners of the node-spanned box."""
-        upper = self.origin + self.spacing * (np.asarray(self.dims) - 1)
-        return self.origin.copy(), upper
 
 
 @dataclass(frozen=True)
@@ -434,49 +434,42 @@ def normalize_to_vacuum(fmap: FieldMap, f_c: float) -> FieldMap:
                     energy_j=photon_energy, photon_frequency_hz=f_c)
 
 
-def _require_region_in_hull(fmap: FieldMap, region: SampleRegion) -> None:
-    lo, hi = fmap.hull
+DEFAULT_CONTOUR_BINS = (0.01, 0.02, 0.05, 0.10)
+
+
+def homogeneity(fmap: FieldMap, region: SampleRegion,
+                bins=DEFAULT_CONTOUR_BINS) -> HomogeneityReport:
+    """Volume-weighted homogeneity statistics of |B| over a region.
+
+    This is the toolkit's one computation of region statistics.  |B| at
+    each cell center is the mean of the 8 corner magnitudes (trilinear
+    interpolation at the center), and each cell counts with its overlap
+    volume with the region, so partially covered boundary cells count in
+    proportion.  rms_deviation and max_deviation (over cells of positive
+    overlap) are fractions of the region mean, so they do not change
+    when the field is scaled by a positive factor; the contour histogram
+    gives the volume fraction whose |deviation| falls inside each bin,
+    the last bin being open-ended.
+    """
+    edges = tuple(float(b) for b in bins)
+    if not edges or any(not (e > 0 and math.isfinite(e)) for e in edges) \
+            or any(b <= a for a, b in zip(edges, edges[1:])):
+        raise DomainError("bins must be a strictly increasing sequence of "
+                          "positive deviation thresholds", module=_MODULE)
+    upper = fmap.origin + fmap.spacing * (np.asarray(fmap.dims) - 1)
     slack = 1e-9 * float(np.max(fmap.spacing))
-    if np.any(region.lo < lo - slack) or np.any(region.hi > hi + slack):
+    if np.any(region.lo < fmap.origin - slack) or np.any(region.hi > upper + slack):
         raise DomainError(
             f"sample region [{region.lo}, {region.hi}] extends beyond the "
-            f"grid hull [{lo}, {hi}]", module=_MODULE)
-
-
-def region_cell_magnitudes(fmap: FieldMap,
-                           region: SampleRegion) -> tuple[np.ndarray, np.ndarray]:
-    """|B| at cell centers plus each cell's overlap volume with the region.
-
-    Cell-center values are the mean of the 8 corner magnitudes
-    (trilinear interpolation at the center); weights are the volumes of
-    cell-region intersection, so partially covered boundary cells count
-    in proportion.
-    """
-    _require_region_in_hull(fmap, region)
+            f"grid hull [{fmap.origin}, {upper}]", module=_MODULE)
     if any(n < 2 for n in fmap.dims):
         raise DomainError("region statistics need >= 2 nodes per axis",
                           module=_MODULE)
     values = _cell_center_mean(fmap.magnitude)
-    overlaps = []
-    for ax in range(3):
-        nodes = _axis_nodes(fmap.origin[ax], fmap.spacing[ax], fmap.dims[ax])
-        cell_lo, cell_hi = nodes[:-1], nodes[1:]
-        ov = np.minimum(cell_hi, region.hi[ax]) - np.maximum(cell_lo, region.lo[ax])
-        overlaps.append(np.maximum(ov, 0.0))
-    weights = (overlaps[0][:, None, None]
-               * overlaps[1][None, :, None]
-               * overlaps[2][None, None, :])
-    return values, weights
-
-
-def weighted_deviations(values: np.ndarray, weights: np.ndarray):
-    """Weighted mean of ``values`` and their deviations from it.
-
-    Returns (mean, rms deviation, max deviation, deviation array), the
-    deviations as fractions of the mean; the max runs over entries of
-    positive weight.  The fractions do not change when every value is
-    scaled by the same positive factor.
-    """
+    ox, oy, oz = (
+        np.maximum(np.minimum(nodes[1:], hi) - np.maximum(nodes[:-1], lo), 0.0)
+        for nodes, lo, hi in zip(fmap.axes(), region.lo, region.hi))
+    weights = ox[:, None, None] * oy[:, None] * oz
     w_total = float(weights.sum())
     if w_total <= 0:
         raise DomainError("sample region does not overlap any grid cell",
@@ -485,30 +478,10 @@ def weighted_deviations(values: np.ndarray, weights: np.ndarray):
     if mean <= 0:
         raise DomainError("mean |B| over the region is zero; deviations are "
                           "undefined", module=_MODULE)
-    dev = (values - mean) / mean
+    dev = np.abs(values - mean) / mean
     rms = math.sqrt(float((weights * dev * dev).sum()) / w_total)
-    return mean, rms, float(np.max(np.abs(dev[weights > 0]))), dev
-
-
-DEFAULT_CONTOUR_BINS = (0.01, 0.02, 0.05, 0.10)
-
-
-def homogeneity(fmap: FieldMap, region: SampleRegion,
-                bins=DEFAULT_CONTOUR_BINS) -> HomogeneityReport:
-    """Volume-weighted homogeneity statistics of |B| over a region.
-
-    rms_deviation and max_deviation are fractions of the region mean;
-    the contour histogram gives the volume fraction whose |deviation|
-    falls inside each bin, the last bin being open-ended.
-    """
-    edges = tuple(float(b) for b in bins)
-    if not edges or any(not (e > 0 and math.isfinite(e)) for e in edges) \
-            or any(b <= a for a, b in zip(edges, edges[1:])):
-        raise DomainError("bins must be a strictly increasing sequence of "
-                          "positive deviation thresholds", module=_MODULE)
-    values, weights = region_cell_magnitudes(fmap, region)
-    mean, rms, max_dev, dev = weighted_deviations(values, weights)
-    bin_index = np.searchsorted(np.asarray(edges), np.abs(dev), side="right")
+    max_dev = float(np.max(dev[weights > 0]))
+    bin_index = np.searchsorted(np.asarray(edges), dev, side="right")
     sums = np.bincount(bin_index.ravel(), weights=weights.ravel(),
                        minlength=len(edges) + 1)
     fractions = sums / sums.sum()
@@ -525,23 +498,15 @@ def export_map(path, fmap: FieldMap) -> None:
     ``key=value`` lines.  Both files are written atomically and round-trip
     through :func:`ingest_map` bit-exactly.
     """
-    nx, ny, nz = fmap.dims
     nodes = np.meshgrid(*fmap.axes(), indexing="ij")
     rows = np.column_stack([*(n.ravel() for n in nodes), fmap.b.reshape(-1, 3)])
     write_table(path, _CSV_HEADER, rows.tolist())
 
-    meta = [
-        f"nx={nx}", f"ny={ny}", f"nz={nz}",
-        f"origin_x_m={format_float(fmap.origin[0])}",
-        f"origin_y_m={format_float(fmap.origin[1])}",
-        f"origin_z_m={format_float(fmap.origin[2])}",
-        f"spacing_x_m={format_float(fmap.spacing[0])}",
-        f"spacing_y_m={format_float(fmap.spacing[1])}",
-        f"spacing_z_m={format_float(fmap.spacing[2])}",
-        f"energy_J={format_float(fmap.energy_j)}",
-    ]
-    if fmap.photon_frequency_hz is not None:
-        meta.append(f"photon_frequency_Hz={format_float(fmap.photon_frequency_hz)}")
+    values = (*fmap.dims, *fmap.origin, *fmap.spacing, fmap.energy_j,
+              fmap.photon_frequency_hz)
+    meta = [f"{key}={value if kind is int else format_float(value)}"
+            for (key, kind), value in zip(_SIDECAR_KEYS.items(), values)
+            if value is not None]
     atomic_write_text(str(path) + _META_SUFFIX, "\n".join(meta) + "\n")
 
 
@@ -553,10 +518,6 @@ def _parse_sidecar(path) -> dict:
     except OSError as exc:
         raise ValidationError(f"cannot read sidecar {meta_path}: {exc}",
                               module=_MODULE) from exc
-    known_int = {"nx", "ny", "nz"}
-    known_float = {"origin_x_m", "origin_y_m", "origin_z_m",
-                   "spacing_x_m", "spacing_y_m", "spacing_z_m",
-                   "energy_J", "photon_frequency_Hz"}
     meta = {}
     for lineno, line in enumerate(raw_lines, start=1):
         line = line.strip()
@@ -564,18 +525,17 @@ def _parse_sidecar(path) -> dict:
             continue
         key, sep, value = line.partition("=")
         key = key.strip()
-        if not sep or (key not in known_int and key not in known_float):
+        if not sep or key not in _SIDECAR_KEYS:
             raise ValidationError(
                 f"{meta_path}:{lineno}: unrecognized sidecar line {line!r}",
                 module=_MODULE)
         try:
-            meta[key] = int(value) if key in known_int else float(value)
+            meta[key] = _SIDECAR_KEYS[key](value)
         except ValueError as exc:
             raise ValidationError(
                 f"{meta_path}:{lineno}: cannot parse value for {key!r}",
                 module=_MODULE) from exc
-    required = known_int | (known_float - {"photon_frequency_Hz"})
-    missing = sorted(required - meta.keys())
+    missing = sorted(_SIDECAR_KEYS.keys() - {"photon_frequency_Hz"} - meta.keys())
     if missing:
         raise ValidationError(f"{meta_path}: missing sidecar keys {missing}",
                               module=_MODULE)

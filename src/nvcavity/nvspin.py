@@ -39,10 +39,12 @@ class SpinSpecies:
     g_factor: float = NV_G_FACTOR
 
     def __post_init__(self):
-        if self.zero_field_splitting <= 0:
-            raise DomainError("zero_field_splitting must be > 0", module=_MODULE)
-        if self.g_factor <= 0:
-            raise DomainError("g_factor must be > 0", module=_MODULE)
+        if not 0 < self.zero_field_splitting < math.inf:
+            raise DomainError("zero_field_splitting must be positive and finite",
+                              module=_MODULE)
+        if not (self.g_factor > 0 and math.isfinite(self.zeeman_hz_per_t)):
+            raise DomainError("g_factor must be positive, with a finite Zeeman "
+                              "slope g mu_B / h", module=_MODULE)
 
     @property
     def zeeman_hz_per_t(self) -> float:
@@ -221,8 +223,8 @@ def zeeman_tune(species: SpinSpecies, axes, direction, f_target: float,
 
 
 def write_transition_sweep(path, species: SpinSpecies, direction,
-                           b_values) -> None:
-    """Write a transition-frequency sweep CSV.
+                           b_values) -> list:
+    """Write a transition-frequency sweep CSV and return its rows.
 
     Columns: B_magnitude_T, axis_index, f_lower_Hz, f_upper_Hz; one row
     per (field magnitude, NV axis) pair, over the four axes of NV_AXES.
@@ -234,3 +236,4 @@ def write_transition_sweep(path, species: SpinSpecies, direction,
             levels = transition_frequencies(species, axis, b_mag * direction)
             rows.append((b_mag, idx, levels.f_lower, levels.f_upper))
     write_table(path, "B_magnitude_T,axis_index,f_lower_Hz,f_upper_Hz", rows)
+    return rows

@@ -263,6 +263,8 @@ def with_multiplicative_noise(spec: Spectrum, fraction: float,
     """
     if not (fraction >= 0 and math.isfinite(fraction)):
         raise DomainError("noise fraction must be >= 0", module=_MODULE)
+    if seed < 0:
+        raise DomainError("noise seed must be >= 0", module=_MODULE)
     rng = np.random.default_rng(seed)
     factors = 1.0 + fraction * rng.standard_normal(spec.s21_sq.size)
     noisy = np.clip(spec.s21_sq * factors, 0.0, None)

@@ -173,3 +173,17 @@ class TestMonotonicity:
         lengths = np.linspace(2e-3, 50e-3, 25)
         freqs = [eigenfrequency(make_geom(l=l, w=w)).f_c for l in lengths]
         assert all(b < a for a, b in zip(freqs, freqs[1:]))
+
+
+@pytest.mark.parametrize("func, args", [
+    (series_capacitance, (math.inf,)),
+    (series_capacitance, (math.nan,)),
+    (flat_wire_inductance, (math.inf,)),
+    (gap_for_frequency, (math.inf,)),
+    (gap_for_frequency, (3e9, 1.0, math.inf)),
+    (gap_for_frequency, (1e159,)),  # (2 pi f)^2 overflows
+    (inductance_scale_for_frequency, (math.nan,)),
+])
+def test_non_finite_inputs_rejected(func, args):
+    with pytest.raises(DomainError):
+        func(make_geom(), *args)

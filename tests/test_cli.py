@@ -126,15 +126,20 @@ class TestSpins:
 
     def test_underflowing_direction_matches_unit_direction(self, tmp_path,
                                                            capsys):
-        # 1e-200 squared underflows, so its norm must not be taken directly.
+        # 1e-200 squared underflows, so its norm must not be taken directly,
+        # neither for the sweep nor for its plot rows.
         runs = {}
         for name, x in (("tiny", "1e-200"), ("unit", "1")):
             out = tmp_path / f"{name}.csv"
-            rc, stdout, stderr = run_cli(capsys, "spins", "--direction", x, 0,
-                                         0, "--tune-to-GHz", 3.0, "--out", out)
-            assert (rc, stderr) == (0, "")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc, stdout, stderr = run_cli(capsys, "spins", "--direction", x,
+                                             0, 0, "--tune-to-GHz", 3.0,
+                                             "--out", out, "--emit-plot-data")
+            assert (rc, stderr, caught) == (0, "", [])
             tuned = [l for l in stdout.splitlines() if l.startswith("tuned_B_T=")]
-            runs[name] = (tuned, out.read_text())
+            runs[name] = (tuned, out.read_text(),
+                          (tmp_path / f"{name}.dat").read_bytes())
         assert runs["tiny"] == runs["unit"]
         assert len(runs["unit"][0]) == 1
 
@@ -533,6 +538,46 @@ def test_no_subcommand_imports_scipy(tmp_path):
         assert "scipy loaded: False" in proc.stdout
         payload = json.loads((cwd / "fit.json").read_text())
         assert payload["Omega_Hz"] == pytest.approx(12.46e6, rel=0.02)
+
+
+_DESIGN = ("design", "--A-mm2", 100, "--l-mm", 10, "--w-mm", 2)
+_SPECTRUM = ("spectrum", "--omega-c-GHz", 3.121, "--kappa-MHz", 1.91,
+             "--omega-s-GHz", 3.121, "--gamma-star-MHz", 3, "--Omega-MHz",
+             12.46, "--f-min-GHz", 3.091, "--f-max-GHz", 3.151)
+_COUPLE = ("couple", "--map", "map.csv", "--density-ppm", 40,
+           "--region-center-mm", 0, 0, 0, "--region-extents-mm", 2, 2, 0.6)
+
+
+@pytest.mark.parametrize("module, argv", [
+    ("circuit", (*_DESIGN, "--d-mm", 1, "--k-L", "nan")),
+    ("circuit", (*_DESIGN, "--d-mm", 1, "--k-L", "inf")),
+    ("circuit", (*_DESIGN, "--d-mm", 1, "--k-L", 1e-320)),
+    ("circuit", (*_DESIGN, "--d-mm", 1, "--epsilon-r", "nan")),
+    ("circuit", ("design", "--A-mm2", 1e300, "--l-mm", 10, "--w-mm", 2,
+                 "--d-mm", 1e-300)),
+    ("circuit", (*_DESIGN, "--target-freq-GHz", 1e150)),
+    ("nvspin", ("spins", "--g-factor", "nan")),
+    ("nvspin", ("spins", "--g-factor", "inf")),
+    ("nvspin", ("spins", "--D-GHz", "inf")),
+    ("nvspin", ("spins", "--g-factor", 1e300, "--tune-to-GHz", 3)),
+    ("spectroscopy", (*_SPECTRUM, "--noise-fraction", 0.01, "--seed", -1)),
+    ("coupling", (*_COUPLE, "--kappa-MHz", 1e-300, "--gamma-star-MHz", 1e-300)),
+])
+def test_out_of_range_input_is_domain_error(tmp_path, capsys, monkeypatch,
+                                            module, argv):
+    # Each input once slipped past a "<= 0" check or overflowed: it wrote
+    # NaN or Infinity into a report, or ended in exit 70.
+    monkeypatch.chdir(tmp_path)
+    export_uniform_map("map.csv", magnitude=8.74e-12, f_c=3.121e9)
+    before = set(tmp_path.iterdir())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, stdout, stderr = run_cli(capsys, *argv, "--out", "result")
+    assert rc == 1
+    assert stderr.startswith(f"ERROR:{module}:domain: ")
+    assert "wrote" not in stdout
+    assert set(tmp_path.iterdir()) == before
+    assert caught == []
 
 
 class TestErrorProtocol:

@@ -148,11 +148,15 @@ def readme_blocks(language):
     return re.findall(rf"```{language}\n(.*?)```", README.read_text(), re.S)
 
 
+def readme_commands():
+    return [shlex.split(line, comments=True)
+            for block in readme_blocks("sh")
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("nvcavity ")]
+
+
 def test_readme_commands_parse():
-    commands = [shlex.split(line, comments=True)
-                for block in readme_blocks("sh")
-                for line in block.replace("\\\n", " ").splitlines()
-                if line.startswith("nvcavity ")]
+    commands = readme_commands()
     assert len(commands) >= 8
     for argv in commands:
         try:
@@ -160,6 +164,21 @@ def test_readme_commands_parse():
         except SystemExit:
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
         cli._resolve(args, {})
+
+
+def test_readme_pipeline_writes_strict_json(tmp_path, monkeypatch, capsys):
+    def reject(constant):
+        raise ValueError(f"{constant} is not a JSON number")
+
+    monkeypatch.chdir(tmp_path)
+    for argv in readme_commands():
+        plot = [] if argv[1] == "constants" else ["--emit-plot-data"]
+        assert cli.main(argv[1:] + plot) == 0, argv
+    reports = sorted(path.name for path in tmp_path.glob("*.json"))
+    assert reports == ["coupling.json", "design.json", "fit.json",
+                       "homogeneity.json"]
+    for name in reports:
+        json.loads((tmp_path / name).read_text(), parse_constant=reject)
 
 
 def test_readme_config_keys_are_options():

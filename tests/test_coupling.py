@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvcavity import coupling as cp
 from nvcavity import fieldmap as fm
@@ -224,3 +226,37 @@ class TestCouplingReport:
                     "N_spins", "Omega_Hz", "cooperativity"):
             assert key in payload
         assert payload["Omega_Hz"] == report.omega
+
+
+_LENGTHS = st.floats(1e-4, 2e-3)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), dims=st.tuples(*[st.integers(2, 6)] * 3),
+       spacing=st.tuples(*[_LENGTHS] * 3),
+       origin=st.tuples(*[st.floats(-5e-3, 5e-3)] * 3))
+def test_statistics_are_the_scaled_homogeneity_report(data, dims, spacing,
+                                                       origin):
+    n = 3 * int(np.prod(dims))
+    b = np.array(data.draw(st.lists(st.floats(-1e-11, 1e-11), min_size=n,
+                                    max_size=n))).reshape(dims + (3,))
+    b[..., 1] += 2e-11  # keeps the mean |B| above zero
+    f_c = 3.121e9
+    fmap = fm.FieldMap(origin=origin, spacing=spacing, b=b,
+                       energy_j=PLANCK_H * f_c, photon_frequency_hz=f_c)
+    # A region inside the hull: per axis a center fraction and a half-width
+    # fraction that keeps both faces on the grid.
+    span = np.asarray(spacing) * (np.array(dims) - 1)
+    centers, halves = [], []
+    for _ in range(3):
+        c = data.draw(st.floats(0.05, 0.95))
+        centers.append(c)
+        halves.append(data.draw(st.floats(0.01, min(c, 1.0 - c))))
+    region = fm.SampleRegion(center=np.asarray(origin) + np.array(centers) * span,
+                             extents=2.0 * np.array(halves) * span)
+    field = fm.homogeneity(fmap, region)
+    report = cp.coupling_report(fmap, cp.EnsembleSpec(density_ppm=4.5,
+                                                      region=region))
+    assert report.g0_rms_deviation == field.rms_deviation
+    assert report.g0_max_deviation == field.max_deviation
+    assert report.g0_mean == cp.single_spin_coupling(1.0) * field.mean_field_t
