@@ -127,5 +127,7 @@ def inductance_scale_for_frequency(geom: CavityGeometry, f_target: float,
     """
     omega_sq = _omega_squared(f_target)
     c_total = series_capacitance(geom, relative_permittivity)
-    l_unit = flat_wire_inductance(geom, 1.0)
-    return 1.0 / (l_unit * c_total * omega_sq)
+    denominator = flat_wire_inductance(geom, 1.0) * c_total * omega_sq
+    k_l = 1.0 / denominator if denominator > 0 else math.inf
+    _require_positive(k_l, f"k_L for f_target {f_target!r} Hz")
+    return k_l

@@ -538,6 +538,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"ERROR:cli:io: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"ERROR:cli:memory: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # pragma: no cover - defensive catch-all
         print(f"ERROR:cli:internal: {exc!r}", file=sys.stderr)
         return 70

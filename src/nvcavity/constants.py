@@ -21,7 +21,7 @@ NV_G_FACTOR = 2.0028  # electron g-factor of the NV ground state
 # Diamond carbon site density, for ppm -> m^-3 conversion of defect densities.
 CARBON_SITE_DENSITY_M3 = 1.76e29  # [m^-3] (= 1.76e23 cm^-3)
 
-# Default spin transition matrix element |<+-1|Sx|0>| for a spin-1 triplet.
+# Spin transition matrix element |<+-1|Sx|0>| of a spin-1 triplet.
 SPIN_MATRIX_ELEMENT = 2.0**-0.5
 
 

@@ -31,24 +31,15 @@ _NV = SpinSpecies()
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Spin ensemble: NV density, host sample region, matrix element.
-
-    density_ppm counts NV centers per million carbon sites;
-    carbon_site_density converts that to a volume density.
-    """
+    """Spin ensemble: density_ppm NV centers per million carbon sites of
+    diamond, over a host sample region."""
 
     density_ppm: float
     region: SampleRegion
-    carbon_site_density: float = CARBON_SITE_DENSITY_M3  # m^-3
-    s_matrix_element: float = SPIN_MATRIX_ELEMENT
 
     def __post_init__(self):
         if not (self.density_ppm >= 0 and math.isfinite(self.density_ppm)):
             raise DomainError("density_ppm must be >= 0 and finite", module=_MODULE)
-        if not (self.carbon_site_density > 0 and math.isfinite(self.carbon_site_density)):
-            raise DomainError("carbon_site_density must be > 0", module=_MODULE)
-        if not (self.s_matrix_element > 0 and math.isfinite(self.s_matrix_element)):
-            raise DomainError("s_matrix_element must be > 0", module=_MODULE)
 
 
 @dataclass(frozen=True)
@@ -68,7 +59,7 @@ class CouplingReport:
     cooperativity: float | None
 
     def as_dict(self) -> dict:
-        doc = {
+        return {
             "g0_mean_Hz": self.g0_mean,
             "g0_rms_deviation": self.g0_rms_deviation,
             "g0_max_deviation": self.g0_max_deviation,
@@ -76,53 +67,36 @@ class CouplingReport:
             "Omega_Hz": self.omega,
             "cooperativity": self.cooperativity,
         }
-        return doc
 
 
-def _coupling_rate_per_tesla(species: SpinSpecies, s_matrix_element: float) -> float:
-    if not (s_matrix_element > 0 and math.isfinite(s_matrix_element)):
-        raise DomainError("s_matrix_element must be > 0", module=_MODULE)
+def _coupling_rate_per_tesla(species: SpinSpecies) -> float:
     return (_TETRAHEDRAL_PROJECTION * species.g_factor * BOHR_MAGNETON
-            / (2.0 * PLANCK_H) * s_matrix_element)
+            / (2.0 * PLANCK_H) * SPIN_MATRIX_ELEMENT)
 
 
-def single_spin_coupling(b_vac, species: SpinSpecies = _NV,
-                         s_matrix_element: float = SPIN_MATRIX_ELEMENT,
-                         axis=None) -> float:
+def single_spin_coupling(b_vac, species: SpinSpecies = _NV) -> float:
     """Single-spin coupling |g0| in Hz for a vacuum field ``b_vac``.
 
-    ``b_vac`` is the vacuum field as a 3-vector [T] or its magnitude.
-    By default the sqrt(2/3) projection factor stands in for the angle
-    between field and spin axis; passing an NV axis unit vector instead
-    couples through the actual perpendicular field component.
+    ``b_vac`` is the vacuum field as a 3-vector [T] or its magnitude;
+    the sqrt(2/3) projection factor stands in for the angle between
+    field and spin axis.
     """
     b_vac = np.asarray(b_vac, dtype=float)
     if not np.all(np.isfinite(b_vac)):
         raise DomainError("b_vac must be finite", module=_MODULE)
-    if axis is None:
-        if b_vac.ndim == 0:
-            magnitude = abs(float(b_vac))
-        elif b_vac.shape == (3,):
-            magnitude = float(np.linalg.norm(b_vac))
-        else:
-            raise DomainError("b_vac must be a 3-vector or a scalar magnitude",
-                              module=_MODULE)
-        return _coupling_rate_per_tesla(species, s_matrix_element) * magnitude
-    axis = np.asarray(axis, dtype=float)
-    if axis.shape != (3,) or abs(float(np.linalg.norm(axis)) - 1.0) > 1e-9:
-        raise DomainError("axis must be a unit 3-vector", module=_MODULE)
-    if b_vac.shape != (3,):
-        raise DomainError("per-axis projection needs the full field vector",
+    if b_vac.ndim == 0:
+        magnitude = abs(float(b_vac))
+    elif b_vac.shape == (3,):
+        magnitude = float(np.linalg.norm(b_vac))
+    else:
+        raise DomainError("b_vac must be a 3-vector or a scalar magnitude",
                           module=_MODULE)
-    b_perp = b_vac - np.dot(b_vac, axis) * axis
-    rate = (species.g_factor * BOHR_MAGNETON / (2.0 * PLANCK_H)
-            * s_matrix_element)
-    return rate * float(np.linalg.norm(b_perp))
+    return _coupling_rate_per_tesla(species) * magnitude
 
 
 def spin_count(ens: EnsembleSpec) -> float:
     """Number of spins in the ensemble region."""
-    return ens.density_ppm * 1e-6 * ens.carbon_site_density * ens.region.volume
+    return ens.density_ppm * 1e-6 * CARBON_SITE_DENSITY_M3 * ens.region.volume
 
 
 def collective_coupling(g0_mean: float, n_spins: float) -> float:
@@ -166,7 +140,7 @@ def coupling_report(fmap: FieldMap, ens: EnsembleSpec,
             "coupling_report needs a vacuum-normalized map; call "
             "normalize_to_vacuum first", module=_MODULE)
     field = homogeneity(fmap, ens.region)
-    rate = _coupling_rate_per_tesla(species, ens.s_matrix_element)
+    rate = _coupling_rate_per_tesla(species)
     g0_mean = rate * field.mean_field_t
     n = spin_count(ens)
     omega = collective_coupling(g0_mean, n)

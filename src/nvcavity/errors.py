@@ -10,11 +10,9 @@ class ToolkitError(ValueError):
 
     code = "error"
 
-    def __init__(self, message: str, *, module: str = "core", code: str | None = None):
+    def __init__(self, message: str, *, module: str = "core"):
         super().__init__(message)
         self.module = module
-        if code is not None:
-            self.code = code
 
 
 class DomainError(ToolkitError):

@@ -42,10 +42,6 @@ def _vector3(value, name: str) -> np.ndarray:
     return v
 
 
-def _axis_nodes(origin: float, spacing: float, n: int) -> np.ndarray:
-    return origin + spacing * np.arange(n)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform evaluation grid: node (i,j,k) sits at origin + spacing*(i,j,k)."""
@@ -77,8 +73,8 @@ class GridSpec:
         return cls(origin=-extents / 2.0, spacing=spacing, dims=dims)
 
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(_axis_nodes(self.origin[i], self.spacing[i], self.dims[i])
-                     for i in range(3))
+        return tuple(o + s * np.arange(n)
+                     for o, s, n in zip(self.origin, self.spacing, self.dims))
 
 
 @dataclass(frozen=True)
@@ -132,8 +128,8 @@ class FieldMap:
         return np.sqrt(np.sum(self.b * self.b, axis=3))
 
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(_axis_nodes(self.origin[i], self.spacing[i], self.dims[i])
-                     for i in range(3))
+        return tuple(o + s * np.arange(n)
+                     for o, s, n in zip(self.origin, self.spacing, self.dims))
 
 
 @dataclass(frozen=True)
@@ -204,33 +200,20 @@ class HomogeneityReport:
 
 @dataclass(frozen=True)
 class CurrentSheet:
-    """Flat rectangle carrying uniform surface current.
+    """Flat rectangle in the plane z = center[2] with uniform surface current.
 
-    The current flows along ``current_direction`` with line density
-    ``surface_current`` [A/m]; ``length`` is the side along the current,
-    ``width`` the side across it.  ``normal`` fixes the sheet plane and
-    must be orthogonal to the current direction.
+    The current flows along +x with line density ``surface_current``
+    [A/m], along -x when that is negative; ``length`` is the side along
+    x, ``width`` the side along y.
     """
 
     center: np.ndarray  # m
-    current_direction: np.ndarray  # unit vector
-    normal: np.ndarray  # unit vector
     length: float  # m
     width: float  # m
     surface_current: float  # A/m
 
     def __post_init__(self):
         object.__setattr__(self, "center", _vector3(self.center, "center"))
-        u = _vector3(self.current_direction, "current_direction")
-        n = _vector3(self.normal, "normal")
-        for name, vec in (("current_direction", u), ("normal", n)):
-            if abs(float(np.linalg.norm(vec)) - 1.0) > 1e-9:
-                raise DomainError(f"{name} must be a unit vector", module=_MODULE)
-        if abs(float(np.dot(u, n))) > 1e-9:
-            raise DomainError("normal must be orthogonal to current_direction",
-                              module=_MODULE)
-        object.__setattr__(self, "current_direction", u)
-        object.__setattr__(self, "normal", n)
         if not (self.length > 0 and self.width > 0
                 and math.isfinite(self.length) and math.isfinite(self.width)):
             raise DomainError("sheet length and width must be positive and finite",
@@ -244,43 +227,18 @@ def bowtie_sheet_pair(length: float, width: float, gap: float,
                       surface_current: float) -> tuple[CurrentSheet, CurrentSheet]:
     """Two parallel sheets with counter-propagating current.
 
-    The sheets sit at z = -gap/2 (current along +x) and z = +gap/2
-    (current along -x), so their fields add up between the sheets and
-    cancel outside; midway the field points along -y and approaches
-    mu0 * surface_current for sheets much larger than the gap.
+    The sheets sit at z = -gap/2 (carrying surface_current along +x) and
+    z = +gap/2 (carrying -surface_current), so their fields add up
+    between the sheets and cancel outside; midway the field points along
+    -y and approaches mu0 * surface_current for sheets much larger than
+    the gap.
     """
     if gap <= 0:
         raise DomainError("gap must be > 0", module=_MODULE)
-    lower = CurrentSheet(center=np.array([0.0, 0.0, -gap / 2.0]),
-                         current_direction=np.array([1.0, 0.0, 0.0]),
-                         normal=np.array([0.0, 0.0, 1.0]),
-                         length=length, width=width,
-                         surface_current=surface_current)
-    upper = CurrentSheet(center=np.array([0.0, 0.0, gap / 2.0]),
-                         current_direction=np.array([-1.0, 0.0, 0.0]),
-                         normal=np.array([0.0, 0.0, 1.0]),
-                         length=length, width=width,
-                         surface_current=surface_current)
-    return lower, upper
-
-
-def _canonical_frame(sheet: CurrentSheet) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Sheet frame with a sign-canonical current axis.
-
-    Flipping the current direction together with the sign of the
-    surface current leaves the physics unchanged; canonicalizing makes
-    a reversed-current sheet produce the exactly negated field.
-    """
-    u = sheet.current_direction
-    k = sheet.surface_current
-    for comp in u:
-        if abs(comp) > 1e-12:
-            if comp < 0:
-                u = -u
-                k = -k
-            break
-    v = np.cross(sheet.normal, u)
-    return u, v, sheet.normal, k
+    return tuple(CurrentSheet(center=np.array([0.0, 0.0, z]), length=length,
+                              width=width, surface_current=k)
+                 for z, k in ((-gap / 2.0, surface_current),
+                              (gap / 2.0, -surface_current)))
 
 
 def _log_ratio(x1: np.ndarray, r1: np.ndarray, x2: np.ndarray, r2: np.ndarray,
@@ -306,12 +264,12 @@ def _sheet_integral(u_pts: np.ndarray, v_pts: np.ndarray, w_pts: np.ndarray,
                     half_len: float, half_wid: float) -> tuple[np.ndarray, np.ndarray]:
     """Geometric Biot-Savart integral of a unit-current sheet, in closed form.
 
-    Evaluates I = integral of u_hat x s / |s|^3 over the rectangle
-    [-a, a] x [-b, b] for every point given in sheet-local coordinates
-    (u, v, w), returning the components along v_hat and the normal; the
-    component along the current direction vanishes identically.  With
-    X = u -+ a, Y = v -+ b and R = sqrt(X^2 + Y^2 + w^2) at the corners,
-    summed with the corner signs sx * sy,
+    Evaluates I = integral of x_hat x s / |s|^3 over the rectangle
+    [-a, a] x [-b, b] for every point (u, v, w) given relative to the
+    sheet center, returning the y and z components; the x component
+    vanishes identically.  With X = u -+ a, Y = v -+ b and
+    R = sqrt(X^2 + Y^2 + w^2) at the corners, summed with the corner
+    signs sx * sy,
 
         w * integral of 1/r^3      = sum sx sy arctan(XY / (wR)),
         integral of (v - v')/r^3   = -sum sx sy ln(X + R).
@@ -373,7 +331,8 @@ def biot_savart_map(sheets, grid: GridSpec, rtol: float = 1e-8) -> FieldMap:
     integral, evaluated from its closed form (the antiderivatives at the
     four sheet corners) for all nodes at once.  ``rtol`` is the relative
     accuracy asked of the field; it must lie in (0, 1e-2), and the closed
-    form, exact up to rounding, always meets it.
+    form, exact up to rounding, always meets it.  A field that overflows,
+    or a grid energy that is not positive and finite, is a domain error.
     """
     sheets = tuple(sheets)
     if not sheets:
@@ -388,32 +347,32 @@ def biot_savart_map(sheets, grid: GridSpec, rtol: float = 1e-8) -> FieldMap:
         raise DomainError("field maps need >= 2 nodes per axis for the "
                           "energy integral", module=_MODULE)
 
-    xs, ys, zs = grid.axes()
-    gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+    pts = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1).reshape(-1, 3)
 
-    out = np.zeros_like(pts)
-    for idx, sheet in enumerate(sheets):
-        u_hat, v_hat, n_hat, k_signed = _canonical_frame(sheet)
-        rel = pts - sheet.center
-        u = rel @ u_hat
-        v = rel @ v_hat
-        w = rel @ n_hat
-        ha, hb = sheet.length / 2.0, sheet.width / 2.0
-        du = np.maximum(np.abs(u) - ha, 0.0)
-        dv = np.maximum(np.abs(v) - hb, 0.0)
-        dist2 = du * du + dv * dv + w * w
-        closest = int(np.argmin(dist2))
-        if dist2[closest] < _SINGULARITY_STANDOFF**2:
-            raise SingularityError(
-                f"grid node at {tuple(pts[closest])} lies within "
-                f"{_SINGULARITY_STANDOFF} m of sheet {idx}", module=_MODULE)
-        prefactor = MU_0 * k_signed / (4.0 * math.pi)
-        comp_v, comp_n = _sheet_integral(u, v, w, ha, hb)
-        out += prefactor * (comp_v[:, None] * v_hat + comp_n[:, None] * n_hat)
-
-    b = out.reshape(nx, ny, nz, 3)
-    energy = _magnetic_plus_electric_energy(b, grid.spacing)
+    b = np.zeros_like(pts)
+    # Out-of-range sheets overflow; the field and energy checks below say so.
+    with np.errstate(all="ignore"):
+        for idx, sheet in enumerate(sheets):
+            u, v, w = (pts - sheet.center).T
+            ha, hb = sheet.length / 2.0, sheet.width / 2.0
+            du = np.maximum(np.abs(u) - ha, 0.0)
+            dv = np.maximum(np.abs(v) - hb, 0.0)
+            dist2 = du * du + dv * dv + w * w
+            closest = int(np.argmin(dist2))
+            if dist2[closest] < _SINGULARITY_STANDOFF**2:
+                raise SingularityError(
+                    f"grid node at {tuple(pts[closest])} lies within "
+                    f"{_SINGULARITY_STANDOFF} m of sheet {idx}", module=_MODULE)
+            prefactor = MU_0 * sheet.surface_current / (4.0 * math.pi)
+            comp_y, comp_z = _sheet_integral(u, v, w, ha, hb)
+            b[:, 1] += prefactor * comp_y
+            b[:, 2] += prefactor * comp_z
+        b = b.reshape(nx, ny, nz, 3)
+        energy = _magnetic_plus_electric_energy(b, grid.spacing)
+    if not (np.all(np.isfinite(b)) and 0 < energy < math.inf):
+        raise DomainError(f"the sheets' field is not finite or its energy on the grid "
+                          f"({energy!r} J) is not positive: sheet size, surface "
+                          f"current or grid out of range", module=_MODULE)
     return FieldMap(origin=grid.origin, spacing=grid.spacing, b=b, energy_j=energy)
 
 

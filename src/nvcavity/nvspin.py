@@ -121,9 +121,13 @@ def hamiltonian(species: SpinSpecies, axis, b0) -> np.ndarray:
     """
     axis = _unit_vector(axis, "axis")
     b0 = _field_vector(b0)
+    zeeman = species.zeeman_hz_per_t
+    # The levels span 2 g mu_B |B| / h, which must not overflow.
+    if not math.isfinite(2.0 * zeeman * math.hypot(*b0)):
+        raise DomainError(f"Zeeman term g mu_B |B| / h overflows at |B| = "
+                          f"{math.hypot(*b0):.6g} T", module=_MODULE)
     ex, ey = _local_frame(axis)
     bx, by, bz = np.dot(b0, ex), np.dot(b0, ey), np.dot(b0, axis)
-    zeeman = species.zeeman_hz_per_t
     h = species.zero_field_splitting * (SPIN1_Z @ SPIN1_Z)
     h = h + zeeman * (bx * SPIN1_X + by * SPIN1_Y + bz * SPIN1_Z)
     return h

@@ -60,8 +60,8 @@ class CoupledSystem:
             if not (value > 0 and math.isfinite(value)):
                 raise DomainError(f"{name} must be a positive HWHM linewidth",
                                   module=_MODULE)
-        if not (self.Omega >= 0 and math.isfinite(self.Omega)):
-            raise DomainError("Omega must be >= 0", module=_MODULE)
+        if not (self.Omega >= 0 and math.isfinite(self.Omega * self.Omega)):
+            raise DomainError("Omega must be >= 0, with a finite square", module=_MODULE)
 
     @property
     def cooperativity(self) -> float:
@@ -129,13 +129,16 @@ def s21_squared(sys: CoupledSystem, omega):
 
     Accepts a scalar or an array of frequencies.  The denominator
     cannot vanish for positive linewidths, so no singular points exist
-    on the real axis.
+    on the real axis; a transmission that overflows is a domain error.
     """
     omega = np.asarray(omega, dtype=float)
-    ds = omega - sys.omega_s - 1j * sys.gamma_star
-    dc = omega - sys.omega_c - 1j * sys.kappa
-    ratio = sys.kappa * ds / (dc * ds - sys.Omega**2)
-    result = ratio.real**2 + ratio.imag**2
+    with np.errstate(all="ignore"):  # rejected below, not warned about
+        ds = omega - sys.omega_s - 1j * sys.gamma_star
+        dc = omega - sys.omega_c - 1j * sys.kappa
+        ratio = sys.kappa * ds / (dc * ds - sys.Omega**2)
+        result = ratio.real**2 + ratio.imag**2
+    if not np.all(np.isfinite(result)):
+        raise DomainError("transmission overflows for these parameters", module=_MODULE)
     return float(result) if result.ndim == 0 else result
 
 

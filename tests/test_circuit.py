@@ -183,6 +183,8 @@ class TestMonotonicity:
     (gap_for_frequency, (3e9, 1.0, math.inf)),
     (gap_for_frequency, (1e159,)),  # (2 pi f)^2 overflows
     (inductance_scale_for_frequency, (math.nan,)),
+    (inductance_scale_for_frequency, (1e-200,)),  # (2 pi f)^2 underflows to 0
+    (inductance_scale_for_frequency, (1e-150,)),  # 1 / (L C omega^2) overflows
 ])
 def test_non_finite_inputs_rejected(func, args):
     with pytest.raises(DomainError):

@@ -546,6 +546,25 @@ _SPECTRUM = ("spectrum", "--omega-c-GHz", 3.121, "--kappa-MHz", 1.91,
              12.46, "--f-min-GHz", 3.091, "--f-max-GHz", 3.151)
 _COUPLE = ("couple", "--map", "map.csv", "--density-ppm", 40,
            "--region-center-mm", 0, 0, 0, "--region-extents-mm", 2, 2, 0.6)
+_FIELDMAP = ("fieldmap", "--sheet-width-mm", 6.6, "--sheet-gap-mm", 1.27,
+             "--grid-extents-mm", 4, 4, 0.8, "--grid-dims", 5, 5, 3)
+
+
+def assert_one_error_line(tmp_path, capsys, monkeypatch, argv, prefix):
+    """Exit 1 with one ``prefix`` line on stderr, no file and no warning."""
+    out_flag = "--out-map" if argv[0] == "fieldmap" else "--out"
+    monkeypatch.chdir(tmp_path)
+    export_uniform_map("map.csv", magnitude=8.74e-12, f_c=3.121e9)
+    before = set(tmp_path.iterdir())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, stdout, stderr = run_cli(capsys, *argv, out_flag, "result")
+    assert rc == 1
+    assert stderr.startswith(prefix)
+    assert stderr.count("\n") == 1
+    assert "wrote" not in stdout
+    assert set(tmp_path.iterdir()) == before
+    assert caught == []
 
 
 @pytest.mark.parametrize("module, argv", [
@@ -562,22 +581,34 @@ _COUPLE = ("couple", "--map", "map.csv", "--density-ppm", 40,
     ("nvspin", ("spins", "--g-factor", 1e300, "--tune-to-GHz", 3)),
     ("spectroscopy", (*_SPECTRUM, "--noise-fraction", 0.01, "--seed", -1)),
     ("coupling", (*_COUPLE, "--kappa-MHz", 1e-300, "--gamma-star-MHz", 1e-300)),
+    ("nvspin", ("spins", "--B-max-mT", 1e305)),
+    ("spectroscopy", (*_SPECTRUM, "--Omega-MHz", 1e300)),
+    ("spectroscopy", (*_SPECTRUM, "--kappa-MHz", 1e300)),
+    ("fieldmap", (*_FIELDMAP, "--sheet-length-mm", 1e300)),
+    ("fieldmap", (*_FIELDMAP, "--sheet-length-mm", 8,
+                  "--surface-current-A-per-m", 1e300)),
+    ("fieldmap", (*_FIELDMAP, "--sheet-length-mm", 8,
+                  "--surface-current-A-per-m", 1e-300, "--normalize-to-GHz", 3)),
 ])
 def test_out_of_range_input_is_domain_error(tmp_path, capsys, monkeypatch,
                                             module, argv):
     # Each input once slipped past a "<= 0" check or overflowed: it wrote
-    # NaN or Infinity into a report, or ended in exit 70.
-    monkeypatch.chdir(tmp_path)
-    export_uniform_map("map.csv", magnitude=8.74e-12, f_c=3.121e9)
-    before = set(tmp_path.iterdir())
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc, stdout, stderr = run_cli(capsys, *argv, "--out", "result")
-    assert rc == 1
-    assert stderr.startswith(f"ERROR:{module}:domain: ")
-    assert "wrote" not in stdout
-    assert set(tmp_path.iterdir()) == before
-    assert caught == []
+    # NaN or Infinity into a report, ended in exit 70, leaked a warning or
+    # blamed an internal check.
+    assert_one_error_line(tmp_path, capsys, monkeypatch, argv,
+                          f"ERROR:{module}:domain: ")
+
+
+@pytest.mark.parametrize("argv", [
+    (*_FIELDMAP, "--sheet-length-mm", 8, "--grid-dims", 100000, 100000, 100000),
+    ("spins", "--n-points", 10**15),
+    (*_SPECTRUM, "--n-points", 10**15),
+])
+def test_impossible_size_is_memory_error(tmp_path, capsys, monkeypatch, argv):
+    # 1e15 float64 values (7 PiB) are refused at once by the allocator;
+    # sizes that could really be allocated are not tested.
+    assert_one_error_line(tmp_path, capsys, monkeypatch, argv,
+                          "ERROR:cli:memory: ")
 
 
 class TestErrorProtocol:

@@ -64,24 +64,6 @@ class TestSingleSpinCoupling:
         assert cp.single_spin_coupling((0.0, 0.0, 5e-12)) == pytest.approx(
             cp.single_spin_coupling(5e-12), rel=1e-15)
 
-    def test_matrix_element_scaling(self):
-        base = cp.single_spin_coupling(1e-11)
-        doubled = cp.single_spin_coupling(1e-11, s_matrix_element=math.sqrt(2))
-        assert doubled == pytest.approx(2.0 * base, rel=1e-15)
-
-    def test_per_axis_projection_mode(self):
-        axis = np.array([0.0, 0.0, 1.0])
-        b_perp = np.array([7e-12, 0.0, 0.0])
-        g0_axis = cp.single_spin_coupling(b_perp, axis=axis)
-        g0_global = cp.single_spin_coupling(7e-12)
-        # Per-axis mode drops the sqrt(2/3) geometric average in favor of
-        # the actual perpendicular projection, which is the full field here.
-        assert g0_axis == pytest.approx(g0_global / math.sqrt(2.0 / 3.0),
-                                        rel=1e-12)
-        assert cp.single_spin_coupling(np.array([0.0, 0.0, 7e-12]),
-                                       axis=axis) == pytest.approx(0.0,
-                                                                   abs=1e-20)
-
 
 class TestSpinCount:
     def test_reference_sample(self):

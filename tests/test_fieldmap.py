@@ -30,9 +30,7 @@ def solver_field(point, half_len, half_wid, k_current=1.0):
     """Field of a sheet in z = 0 carrying ``k_current`` along +x, from
     ``biot_savart_map`` at one node of a 2x2x2 grid whose other nodes lie
     further from the sheet.  Returns the node and the field there."""
-    sheet = fm.CurrentSheet(center=(0.0, 0.0, 0.0),
-                            current_direction=(1.0, 0.0, 0.0),
-                            normal=(0.0, 0.0, 1.0), length=2 * half_len,
+    sheet = fm.CurrentSheet(center=(0.0, 0.0, 0.0), length=2 * half_len,
                             width=2 * half_wid, surface_current=k_current)
     point = np.asarray(point, dtype=float)
     step = np.where(point < 0, -0.25e-3, 0.25e-3)
@@ -117,19 +115,14 @@ class TestBowtiePair:
                                             gap=1e-3, surface_current=2.0)
         assert lower.center[2] == pytest.approx(-0.5e-3)
         assert upper.center[2] == pytest.approx(+0.5e-3)
-        assert np.dot(lower.current_direction, upper.current_direction) == pytest.approx(-1.0)
-        assert lower.surface_current == upper.surface_current == 2.0
+        # Both currents run along x, the upper one reversed.
+        assert lower.surface_current == 2.0
+        assert upper.surface_current == -2.0
 
     def test_bad_gap_rejected(self):
         with pytest.raises(DomainError):
             fm.bowtie_sheet_pair(length=6e-3, width=5e-3, gap=0.0,
                                  surface_current=1.0)
-
-    def test_sheet_frame_must_be_orthonormal(self):
-        with pytest.raises(DomainError):
-            fm.CurrentSheet(center=(0, 0, 0), current_direction=(1, 0, 0),
-                            normal=(1, 0, 0), length=1e-3, width=1e-3,
-                            surface_current=1.0)
 
 
 class TestBiotSavart:
@@ -139,11 +132,8 @@ class TestBiotSavart:
         # to the infinite-sheet value mu0 K / 2 as the sheet grows.
         k_current = 3.0
         a, b, h = 20e-3, 20e-3, 0.25e-3
-        sheet = fm.CurrentSheet(center=(0.0, 0.0, 0.0),
-                                current_direction=(1.0, 0.0, 0.0),
-                                normal=(0.0, 0.0, 1.0),
-                                length=2 * a, width=2 * b,
-                                surface_current=k_current)
+        sheet = fm.CurrentSheet(center=(0.0, 0.0, 0.0), length=2 * a,
+                                width=2 * b, surface_current=k_current)
         grid = fm.GridSpec(origin=(-0.1e-3, -0.1e-3, h),
                            spacing=(0.1e-3, 0.1e-3, 0.05e-3),
                            dims=(3, 3, 2))
@@ -190,11 +180,9 @@ class TestBiotSavart:
         forward, backward = [], []
         for sign in (1.0, -1.0):
             sheets = tuple(
-                fm.CurrentSheet(center=s.center,
-                                current_direction=sign * np.asarray(s.current_direction),
-                                normal=s.normal, length=s.length,
+                fm.CurrentSheet(center=s.center, length=s.length,
                                 width=s.width,
-                                surface_current=s.surface_current)
+                                surface_current=sign * s.surface_current)
                 for s in fm.bowtie_sheet_pair(length=8e-3, width=8e-3,
                                               gap=1e-3, surface_current=2.5))
             fmap = fm.biot_savart_map(sheets, grid, rtol=1e-6)
@@ -273,10 +261,8 @@ class TestBiotSavart:
         assert_field_close(b_solver, expected)
 
     def test_point_on_sheet_is_singular(self):
-        sheet = fm.CurrentSheet(center=(0.0, 0.0, 0.0),
-                                current_direction=(1.0, 0.0, 0.0),
-                                normal=(0.0, 0.0, 1.0),
-                                length=4e-3, width=4e-3, surface_current=1.0)
+        sheet = fm.CurrentSheet(center=(0.0, 0.0, 0.0), length=4e-3,
+                                width=4e-3, surface_current=1.0)
         grid = fm.GridSpec(origin=(0.0, 0.0, 0.0),
                            spacing=(1e-4, 1e-4, 1e-4), dims=(2, 2, 2))
         with pytest.raises(SingularityError):
