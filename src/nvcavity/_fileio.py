@@ -59,19 +59,12 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def format_float(value: float) -> str:
-    """``value`` with 17 significant digits, which read back as the same float."""
-    return "%.17g" % value
-
-
 def write_table(path, header: str, rows, sep: str = ",") -> None:
     """Write ``header``, then each row as ``%.17g`` values joined by ``sep``.
 
     A ``None`` row writes an empty line, which gnuplot reads as a block
     break.  The file is written atomically.
     """
-    # "%.17g" inline, not format_float: a call per value costs more than
-    # the formatting, and a tracer of public calls would see every number.
     lines = [header]
     for row in rows:
         lines.append("" if row is None else sep.join(["%.17g" % v for v in row]))

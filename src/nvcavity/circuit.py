@@ -15,10 +15,11 @@ from .errors import DomainError
 _MODULE = "circuit"
 
 
-def _require_positive(value: float, name: str) -> None:
+def _require_positive(value: float, name: str) -> float:
     if not 0 < value < math.inf:
         raise DomainError(f"{name} must be a positive finite number, got {value!r}",
                           module=_MODULE)
+    return value
 
 
 def _omega_squared(f_target: float) -> float:
@@ -115,7 +116,8 @@ def gap_for_frequency(geom: CavityGeometry, f_target: float,
     omega_sq = _omega_squared(f_target)
     _require_positive(relative_permittivity, "relative_permittivity")
     l_total = flat_wire_inductance(geom, inductance_scale)
-    return EPSILON_0 * relative_permittivity * geom.plate_area * l_total * omega_sq / 2.0
+    gap = EPSILON_0 * relative_permittivity * geom.plate_area * l_total * omega_sq / 2.0
+    return _require_positive(gap, f"gap for f_target {f_target!r} Hz")
 
 
 def inductance_scale_for_frequency(geom: CavityGeometry, f_target: float,
@@ -129,5 +131,4 @@ def inductance_scale_for_frequency(geom: CavityGeometry, f_target: float,
     c_total = series_capacitance(geom, relative_permittivity)
     denominator = flat_wire_inductance(geom, 1.0) * c_total * omega_sq
     k_l = 1.0 / denominator if denominator > 0 else math.inf
-    _require_positive(k_l, f"k_L for f_target {f_target!r} Hz")
-    return k_l
+    return _require_positive(k_l, f"k_L for f_target {f_target!r} Hz")

@@ -135,11 +135,7 @@ _REGION = [
     ("region_center_mm", _VECTOR, None, "sample region center [mm]"),
     ("region_extents_mm", _VECTOR, None, "sample region extents [mm]"),
 ]
-_SPECIES = [
-    ("D_GHz", _NUMBER, constants.NV_ZERO_FIELD_SPLITTING_HZ / _SI["GHz"],
-     "zero-field splitting [GHz]"),
-    ("g_factor", _NUMBER, constants.NV_G_FACTOR, "electron g-factor"),
-]
+_G_FACTOR = ("g_factor", _NUMBER, constants.NV_G_FACTOR, "electron g-factor")
 
 _OPTIONS = {
     "design": [
@@ -157,7 +153,9 @@ _OPTIONS = {
         ("direction", _VECTOR, [0.0, 1.0, 0.0], "field direction, crystal frame"),
         ("B_max_mT", _NUMBER, 20.0, "sweep maximum field [mT]"),
         ("n_points", _INTEGER, 81, "sweep points"),
-        *_SPECIES,
+        ("D_GHz", _NUMBER, constants.NV_ZERO_FIELD_SPLITTING_HZ / _SI["GHz"],
+         "zero-field splitting [GHz]"),
+        _G_FACTOR,
         ("tune_to_GHz", _NUMBER, None, "tune a transition to this frequency"),
         ("branch", _choice("lower", "upper"), "upper", "branch to tune"),
         ("out", _PATH, "spins_sweep.csv", "sweep CSV path"),
@@ -183,7 +181,7 @@ _OPTIONS = {
         ("map", _PATH, None, "normalized field-map CSV"),
         ("density_ppm", _NUMBER, None, "NV density [ppm of carbon sites]"),
         *_REGION,
-        *_SPECIES,
+        _G_FACTOR,
         ("kappa_MHz", _NUMBER, None, "cavity HWHM linewidth, for C [MHz]"),
         ("gamma_star_MHz", _NUMBER, None, "spin HWHM linewidth, for C [MHz]"),
         ("Omega_MHz", _NUMBER, None, "measured collective coupling [MHz], "
@@ -323,17 +321,13 @@ def cmd_design(opts) -> int:
     return 0
 
 
-def _species(opts) -> nvspin.SpinSpecies:
-    return nvspin.SpinSpecies(zero_field_splitting=opts["D_GHz"],
-                              g_factor=opts["g_factor"])
-
-
 def cmd_spins(opts) -> int:
-    species = _species(opts)
+    species = nvspin.SpinSpecies(zero_field_splitting=opts["D_GHz"],
+                                 g_factor=opts["g_factor"])
     direction = opts["direction"]
     b_max, n_points = opts["B_max_mT"], opts["n_points"]
-    if n_points < 2 or b_max <= 0:
-        raise ValidationError("sweep needs B_max_mT > 0 and n_points >= 2",
+    if n_points < 2 or not 0 < b_max < math.inf:
+        raise ValidationError("sweep needs a finite B_max_mT > 0 and n_points >= 2",
                               module=_MODULE)
     b_values = np.linspace(0.0, b_max, n_points)
 
@@ -400,8 +394,8 @@ def cmd_couple(opts) -> int:
         region=fieldmap.SampleRegion(center=opts["region_center_mm"],
                                      extents=opts["region_extents_mm"]))
     kappa, gamma_star = opts["kappa_MHz"], opts["gamma_star_MHz"]
-    report = coupling.coupling_report(fmap, ens, species=_species(opts),
-                                      kappa=kappa, gamma_star=gamma_star)
+    species = nvspin.SpinSpecies(g_factor=opts["g_factor"])
+    report = coupling.coupling_report(fmap, ens, species, kappa, gamma_star)
     payload = report.as_dict()
 
     omega_meas = opts["Omega_MHz"]
@@ -520,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
             # default=None tells an absent flag from a given one.
             p.add_argument("--" + key.replace("_", "-"), default=None,
                            help=text, **kind.argparse)
-        if command != "constants":
+        if command not in ("couple", "constants"):  # neither writes a plot
             p.add_argument("--emit-plot-data", action="store_true",
                            help="also write gnuplot-ready column files")
     return parser

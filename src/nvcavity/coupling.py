@@ -74,7 +74,7 @@ def _coupling_rate_per_tesla(species: SpinSpecies) -> float:
             / (2.0 * PLANCK_H) * SPIN_MATRIX_ELEMENT)
 
 
-def single_spin_coupling(b_vac, species: SpinSpecies = _NV) -> float:
+def single_spin_coupling(b_vac) -> float:
     """Single-spin coupling |g0| in Hz for a vacuum field ``b_vac``.
 
     ``b_vac`` is the vacuum field as a 3-vector [T] or its magnitude;
@@ -91,7 +91,7 @@ def single_spin_coupling(b_vac, species: SpinSpecies = _NV) -> float:
     else:
         raise DomainError("b_vac must be a 3-vector or a scalar magnitude",
                           module=_MODULE)
-    return _coupling_rate_per_tesla(species) * magnitude
+    return _coupling_rate_per_tesla(_NV) * magnitude
 
 
 def spin_count(ens: EnsembleSpec) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import atomic_write_text, format_float, read_table, write_table
+from ._fileio import atomic_write_text, read_table, write_table
 from .constants import MU_0, PLANCK_H
 from .errors import DomainError, SingularityError, ValidationError
 
@@ -387,8 +387,12 @@ def normalize_to_vacuum(fmap: FieldMap, f_c: float) -> FieldMap:
     if not (f_c > 0 and math.isfinite(f_c)):
         raise DomainError("f_c must be a positive finite frequency", module=_MODULE)
     photon_energy = PLANCK_H * f_c
-    n_photons = fmap.energy_j / photon_energy
-    b = fmap.b if n_photons == 1.0 else fmap.b / math.sqrt(n_photons)
+    root_n = math.sqrt(float(fmap.energy_j) / photon_energy) if photon_energy > 0 else 0.0
+    b_max = float(np.max(np.abs(fmap.b))) / root_n if 0 < root_n < math.inf else math.nan
+    if not math.isfinite(b_max):  # a Python float gives inf where numpy would warn
+        raise DomainError(f"f_c = {f_c!r} Hz is out of range: h f_c, the photon number "
+                          f"or the scaled field under- or overflows", module=_MODULE)
+    b = fmap.b / root_n
     return FieldMap(origin=fmap.origin, spacing=fmap.spacing, b=b,
                     energy_j=photon_energy, photon_frequency_hz=f_c)
 
@@ -463,7 +467,7 @@ def export_map(path, fmap: FieldMap) -> None:
 
     values = (*fmap.dims, *fmap.origin, *fmap.spacing, fmap.energy_j,
               fmap.photon_frequency_hz)
-    meta = [f"{key}={value if kind is int else format_float(value)}"
+    meta = [f"{key}={value if kind is int else '%.17g' % value}"
             for (key, kind), value in zip(_SIDECAR_KEYS.items(), values)
             if value is not None]
     atomic_write_text(str(path) + _META_SUFFIX, "\n".join(meta) + "\n")

@@ -55,17 +55,11 @@ class SpinSpecies:
 @dataclass(frozen=True)
 class SpinLevels:
     """Eigenvalues [Hz] sorted ascending and the two transitions from the
-    ground (max |m_s=0> overlap) sublevel, sorted.
-
-    ``ground_ambiguous`` is set when the overlap assignment of the ground
-    sublevel is nearly degenerate (large transverse fields); values are
-    still returned but should not be trusted blindly.
-    """
+    ground (max |m_s=0> overlap) sublevel, sorted."""
 
     eigenvalues: tuple[float, float, float]
     f_lower: float
     f_upper: float
-    ground_ambiguous: bool = False
 
 
 def _unit_vector(v, name: str) -> np.ndarray:
@@ -133,10 +127,6 @@ def hamiltonian(species: SpinSpecies, axis, b0) -> np.ndarray:
     return h
 
 
-# Overlap ratio below which the ground-state assignment counts as ambiguous.
-_AMBIGUOUS_OVERLAP_RATIO = 1.0 + 1e-6
-
-
 def transition_frequencies(species: SpinSpecies, axis, b0) -> SpinLevels:
     """Diagonalize the spin Hamiltonian and extract the two transitions.
 
@@ -147,15 +137,13 @@ def transition_frequencies(species: SpinSpecies, axis, b0) -> SpinLevels:
     h = hamiltonian(species, axis, b0)
     eigvals, eigvecs = np.linalg.eigh(h)
     overlaps = np.abs(eigvecs[1, :]) ** 2  # |<m_s=0|v_i>|^2
-    order = np.argsort(overlaps)
-    ground = int(order[-1])
-    ambiguous = bool(overlaps[order[-1]] < _AMBIGUOUS_OVERLAP_RATIO * overlaps[order[-2]])
+    # On an exact tie argsort's last index wins (argmax would take the first).
+    ground = int(np.argsort(overlaps)[-1])
     others = [i for i in range(3) if i != ground]
     f_a, f_b = (float(eigvals[i] - eigvals[ground]) for i in others)
     f_lower, f_upper = sorted((f_a, f_b))
     return SpinLevels(eigenvalues=tuple(float(v) for v in eigvals),
-                      f_lower=f_lower, f_upper=f_upper,
-                      ground_ambiguous=ambiguous)
+                      f_lower=f_lower, f_upper=f_upper)
 
 
 # Search range [T] and frequency tolerance [Hz] of zeeman_tune.
@@ -166,7 +154,7 @@ _TUNE_TOL_HZ = 1.0
 def zeeman_tune(species: SpinSpecies, axes, direction, f_target: float,
                 which: str = "upper") -> float:
     """Field magnitude along ``direction`` that tunes the selected
-    transition of sub-ensemble 0 to ``f_target`` [Hz].
+    transition of sub-ensemble 0, the first of ``axes``, to ``f_target`` [Hz].
 
     Solves on the monotone branch starting at B = 0 by bracketing and
     bisection to within 1 Hz; raises NoSolutionError when the target is
@@ -176,9 +164,8 @@ def zeeman_tune(species: SpinSpecies, axes, direction, f_target: float,
         raise DomainError("which must be 'lower' or 'upper'", module=_MODULE)
     if f_target <= 0:
         raise DomainError("f_target must be > 0", module=_MODULE)
-    axes = np.asarray(axes, dtype=float)
+    axis = np.asarray(axes, dtype=float)[0]
     direction = _unit_direction(direction)
-    axis = axes[0] if axes.ndim == 2 else axes
 
     def freq(b_mag: float) -> float:
         levels = transition_frequencies(species, axis, b_mag * direction)

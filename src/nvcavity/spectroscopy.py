@@ -74,7 +74,6 @@ class Spectrum:
 
     freq_hz: np.ndarray
     s21_sq: np.ndarray
-    system: CoupledSystem | None = None
 
     def __post_init__(self):
         freq = np.asarray(self.freq_hz, dtype=float)
@@ -105,7 +104,6 @@ class SpectrumGrid:
     delta_s_hz: np.ndarray
     nu_p_hz: np.ndarray
     s21_sq: np.ndarray
-    system: CoupledSystem
 
     def __post_init__(self):
         delta = np.asarray(self.delta_s_hz, dtype=float)
@@ -145,12 +143,13 @@ def s21_squared(sys: CoupledSystem, omega):
 def spectrum(sys: CoupledSystem, f_min: float, f_max: float,
              n_points: int) -> Spectrum:
     """Evaluate the transmission on a uniform probe grid."""
-    if not (f_min < f_max):
-        raise DomainError("f_min must be < f_max", module=_MODULE)
+    if not (f_min < f_max and math.isfinite(float(f_max) - float(f_min))):
+        raise DomainError(f"probe range [{f_min!r}, {f_max!r}] Hz must increase and "
+                          f"have finite ends and span", module=_MODULE)
     if n_points < 2:
         raise DomainError("n_points must be >= 2", module=_MODULE)
     freqs = np.linspace(f_min, f_max, int(n_points))
-    return Spectrum(freq_hz=freqs, s21_sq=s21_squared(sys, freqs), system=sys)
+    return Spectrum(freq_hz=freqs, s21_sq=s21_squared(sys, freqs))
 
 
 def avoided_crossing_map(sys: CoupledSystem, delta_range, probe_range,
@@ -165,22 +164,25 @@ def avoided_crossing_map(sys: CoupledSystem, delta_range, probe_range,
     d_min, d_max = (float(v) for v in delta_range)
     p_min, p_max = (float(v) for v in probe_range)
     n_delta, n_probe = (int(v) for v in dims)
-    if not (d_min < d_max and p_min < p_max):
-        raise DomainError("detuning and probe ranges must be increasing",
-                          module=_MODULE)
+    probe_lo, probe_hi = sys.omega_s + p_min, sys.omega_s + p_max
+    if not (d_min < d_max and p_min < p_max and math.isfinite(d_max - d_min)
+            and math.isfinite(probe_hi - probe_lo)):
+        raise DomainError(f"detuning range [{d_min!r}, {d_max!r}] Hz and probe range "
+                          f"omega_s + [{p_min!r}, {p_max!r}] Hz must increase and have "
+                          f"finite ends and spans", module=_MODULE)
     if n_delta < 2 or n_probe < 2:
         raise DomainError("grid dims must be >= 2", module=_MODULE)
     deltas = np.linspace(d_min, d_max, n_delta)
     # Build the absolute probe grid the same way spectrum() does, so the
     # zero-detuning row matches it bitwise; the stored nu_p offsets are
     # derived from that grid.
-    probe_abs = np.linspace(sys.omega_s + p_min, sys.omega_s + p_max, n_probe)
+    probe_abs = np.linspace(probe_lo, probe_hi, n_probe)
     values = np.empty((n_delta, n_probe))
     for i, delta in enumerate(deltas):
         row_sys = replace(sys, omega_c=sys.omega_s + delta)
         values[i] = s21_squared(row_sys, probe_abs)
     return SpectrumGrid(delta_s_hz=deltas, nu_p_hz=probe_abs - sys.omega_s,
-                        s21_sq=values, system=sys)
+                        s21_sq=values)
 
 
 def _refine_peak(freqs: np.ndarray, vals: np.ndarray, i: int) -> float:
@@ -204,17 +206,16 @@ def _prominence(y: np.ndarray, k: int) -> float:
     return float(y[k] - max(left_min, right_min))
 
 
-def peak_splitting(spec: Spectrum, noise_floor: float = 0.0) -> float:
+def peak_splitting(spec: Spectrum) -> float:
     """Distance in Hz between the two most prominent interior maxima.
 
     Candidate maxima are the local maxima of a moving average over up
     to 15 samples, so a noise spike beside a peak does not count as a
     second peak.  The two with the largest prominence on that average
-    are kept; a prominence below 2 % of the highest averaged sample,
-    or a highest raw sample at or below ``noise_floor``, rules a
-    candidate out.  Each peak is placed at the highest raw sample in
-    its averaging window and refined by quadratic interpolation
-    through the three raw samples around it.
+    are kept; a prominence below 2 % of the highest averaged sample
+    rules a candidate out.  Each peak is placed at the highest raw
+    sample in its averaging window and refined by quadratic
+    interpolation through the three raw samples around it.
     """
     vals = spec.s21_sq
     freqs = spec.freq_hz
@@ -228,7 +229,7 @@ def peak_splitting(spec: Spectrum, noise_floor: float = 0.0) -> float:
     for k in candidates:
         i = k + int(np.argmax(vals[k:k + width]))
         prominence = _prominence(smooth, k)
-        if vals[i] > noise_floor and prominence >= threshold:
+        if prominence >= threshold:
             peaks.append((prominence, i))
     if len(peaks) < 2:
         raise NoSplittingError(
@@ -262,16 +263,20 @@ def with_multiplicative_noise(spec: Spectrum, fraction: float,
     """Multiply every sample by (1 + fraction * standard normal).
 
     Deterministic for a given seed; results are clipped at zero to keep
-    the spectrum valid.
+    the spectrum valid, and a sample that overflows is a domain error.
     """
     if not (fraction >= 0 and math.isfinite(fraction)):
         raise DomainError("noise fraction must be >= 0", module=_MODULE)
     if seed < 0:
         raise DomainError("noise seed must be >= 0", module=_MODULE)
     rng = np.random.default_rng(seed)
-    factors = 1.0 + fraction * rng.standard_normal(spec.s21_sq.size)
-    noisy = np.clip(spec.s21_sq * factors, 0.0, None)
-    return Spectrum(freq_hz=spec.freq_hz, s21_sq=noisy, system=spec.system)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        factors = 1.0 + fraction * rng.standard_normal(spec.s21_sq.size)
+        noisy = np.clip(spec.s21_sq * factors, 0.0, None)
+    if not np.all(np.isfinite(noisy)):
+        raise DomainError(f"noise fraction {fraction!r} makes a sample overflow",
+                          module=_MODULE)
+    return Spectrum(freq_hz=spec.freq_hz, s21_sq=noisy)
 
 
 @dataclass(frozen=True)

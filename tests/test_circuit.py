@@ -185,6 +185,7 @@ class TestMonotonicity:
     (inductance_scale_for_frequency, (math.nan,)),
     (inductance_scale_for_frequency, (1e-200,)),  # (2 pi f)^2 underflows to 0
     (inductance_scale_for_frequency, (1e-150,)),  # 1 / (L C omega^2) overflows
+    (gap_for_frequency, (1e-200,)),  # the solved gap underflows to 0
 ])
 def test_non_finite_inputs_rejected(func, args):
     with pytest.raises(DomainError):

@@ -5,14 +5,21 @@ These tests draw options from that table: a wrong-typed config value
 must end as ``ERROR:cli:validation`` naming its key (never exit 70), a
 valid value must resolve to the same SI value from a flag and from the
 config, and the README's commands and config example must match the
-table.
+table.  The fuzz tests set one option, or two, to edge values (0, the
+smallest and largest floats, nan, inf, negative numbers and sizes) and
+check the error contract: exit 0, or exit 1 with one ``ERROR:`` line, and
+never a leaked warning or a non-finite JSON report.
 """
 
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
+import shutil
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -172,7 +179,7 @@ def test_readme_pipeline_writes_strict_json(tmp_path, monkeypatch, capsys):
 
     monkeypatch.chdir(tmp_path)
     for argv in readme_commands():
-        plot = [] if argv[1] == "constants" else ["--emit-plot-data"]
+        plot = [] if argv[1] in ("couple", "constants") else ["--emit-plot-data"]
         assert cli.main(argv[1:] + plot) == 0, argv
     reports = sorted(path.name for path in tmp_path.glob("*.json"))
     assert reports == ["coupling.json", "design.json", "fit.json",
@@ -213,3 +220,188 @@ def test_region_pair_is_checked_before_the_map_is_written(tmp_path, capsys):
     assert rc == 1
     assert "'region_center_mm'" in capsys.readouterr().err
     assert not out_map.exists()
+
+
+# Small valid command lines, one per workload of the CLI, in its units.  The
+# fuzz tests below replace one or two of their options with edge values.
+_REGION = {"region_center_mm": [0.0, 0.0, 0.0], "region_extents_mm": [2.0, 2.0, 0.6]}
+_SYSTEM = {"omega_c_GHz": 3.121, "kappa_MHz": 1.91, "omega_s_GHz": 3.121,
+           "gamma_star_MHz": 3.0, "Omega_MHz": 12.46}
+BASES = {
+    "design": ("design", {"A_mm2": 100.0, "l_mm": 10.0, "w_mm": 2.0,
+                          "target_freq_GHz": 2.775, "out": "design.json"}),
+    "spins": ("spins", {"direction": [0.0, 1.0, 0.0], "tune_to_GHz": 3.121,
+                        "n_points": 11, "out": "sweep.csv"}),
+    "fieldmap": ("fieldmap", {
+        "sheet_length_mm": 8.0, "sheet_width_mm": 6.6, "sheet_gap_mm": 1.27,
+        "grid_extents_mm": [4.0, 4.0, 0.8], "grid_dims": [5, 5, 3],
+        "normalize_to_GHz": 3.121, **_REGION, "out_map": "map.csv",
+        "out_report": "homogeneity.json"}),
+    "couple": ("couple", {"map": "map.csv", "density_ppm": 40.0, **_REGION,
+                          "kappa_MHz": 1.91, "gamma_star_MHz": 3.0,
+                          "out": "coupling.json"}),
+    "spectrum": ("spectrum", {**_SYSTEM, "f_min_GHz": 3.091, "f_max_GHz": 3.151,
+                              "n_points": 51, "noise_fraction": 0.01, "seed": 7,
+                              "out": "spectrum.csv"}),
+    "crossing": ("spectrum", {**_SYSTEM, "map2d": True, "delta_min_MHz": -30.0,
+                              "delta_max_MHz": 30.0, "n_delta": 5,
+                              "probe_min_MHz": -30.0, "probe_max_MHz": 30.0,
+                              "n_probe": 7, "out": "crossing.csv"}),
+    "fit": ("fit", {"data": "spectrum.csv", "omega_c_GHz": 3.1207,
+                    "kappa_MHz": 1.4, "omega_s_GHz": 3.1214,
+                    "gamma_star_MHz": 2.2, "Omega_MHz": 9.0, "out": "fit.json"}),
+}
+EDGE_NUMBERS = [0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, 1e308,
+                -1e308, float("nan"), float("inf"), float("-inf"), -1.0]
+# Sizes stay tiny: a size between 1e4 and 1e15 elements would really allocate.
+EDGE_INTEGERS = [0, 1, 2, 3, -1]
+
+
+def edge_values(kind):
+    """The values an option of ``kind`` is fuzzed with, besides its own."""
+    if kind in (cli._NUMBER, cli._VECTOR, cli._NUMBERS):
+        return EDGE_NUMBERS
+    if kind in (cli._INTEGER, cli._INTEGERS3):
+        return EDGE_INTEGERS
+    if kind is cli._PATH:
+        return ["missing/file.csv"]
+    if kind is cli._NAMES:
+        return ["", "amplitude", "Omega,amplitude", "bogus"]
+    if kind is cli._FLAG:
+        return [True, False]
+    return list(kind.argparse["choices"])
+
+
+def one_option_changes(command, base):
+    """Every option alone at every edge value; a vector gets it everywhere."""
+    for key, kind, _, _ in cli._OPTIONS[command]:
+        for value in edge_values(kind):
+            if kind in (cli._VECTOR, cli._INTEGERS3):
+                value = [value] * 3
+            elif kind is cli._NUMBERS:
+                value = [value]
+            yield {**base, key: value}
+
+
+def fuzz_value(kind, base):
+    """Strategy of values for an option of ``kind`` whose base value is ``base``."""
+    if kind in (cli._VECTOR, cli._INTEGERS3):
+        items = st.sampled_from(list(base or []) + edge_values(kind))
+        return st.lists(items, min_size=3, max_size=3)
+    if kind is cli._NUMBERS:
+        return st.lists(st.sampled_from(EDGE_NUMBERS + [0.05]), max_size=3)
+    return st.sampled_from(([] if base is None else [base]) + edge_values(kind))
+
+
+def two_option_changes(command, base):
+    """Strategy of ``base`` with two of its command's options replaced."""
+    values = {key: fuzz_value(kind, base.get(key))
+              for key, kind, _, _ in cli._OPTIONS[command]}
+    keys = st.lists(st.sampled_from(sorted(values)), min_size=2, max_size=2,
+                    unique=True)
+    return keys.flatmap(lambda pair: st.fixed_dictionaries(
+        {key: values[key] for key in pair})).map(lambda new: {**base, **new})
+
+
+def command_line(command, options, config_path):
+    """argv for ``options``: scalars as ``--flag=value``, lists via the config."""
+    argv, section = ["--config", str(config_path), command], {}
+    for key, value in options.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, list):
+            section[key] = value  # json writes nan and inf as NaN and Infinity
+        elif value is True:
+            argv.append(flag)
+        elif value is not False:
+            # "=" keeps argparse from reading a value such as -1e300 as a flag.
+            argv.append(f"{flag}={value!r}" if isinstance(value, float)
+                        else f"{flag}={value}")
+    config_path.write_text(json.dumps({command: section}))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """The map and spectrum that ``couple`` and ``fit`` read."""
+    inputs = tmp_path_factory.mktemp("inputs")
+    for name in ("fieldmap", "spectrum"):
+        command, options = BASES[name]
+        argv = command_line(command, {key: str(inputs / value)
+                                      if key.startswith("out") else value
+                                      for key, value in options.items()},
+                            inputs / "options.cfg")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    return inputs
+
+
+ERROR_LINE = r"^ERROR:[a-z_]+:[a-z_]+: "
+
+
+def contract_breaks(command, options, inputs, workdir):
+    """Run ``cli.main`` in ``workdir``; what it did against the error contract.
+
+    The contract: exit 0 with an empty stderr, or exit 1 with exactly one
+    ``ERROR:<module>:<code>: `` line; no warning; strict JSON reports.
+    """
+    def reject(constant):
+        raise ValueError(f"{constant} is not a JSON number")
+
+    workdir.mkdir()
+    for path in inputs.iterdir():
+        if not path.name.endswith((".json", ".cfg")):
+            shutil.copy(path, workdir)
+    argv = command_line(command, options, workdir / "options.cfg")
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    lines = err.getvalue().splitlines()
+    breaks = [str(w.message) for w in caught]
+    if not ((rc, lines) == (0, []) or (rc == 1 and len(lines) == 1
+                                       and re.match(ERROR_LINE, lines[0]))):
+        breaks.append(f"exit {rc}, stderr {lines}")
+    for path in workdir.glob("*.json"):
+        try:
+            json.loads(path.read_text(), parse_constant=reject)
+        except ValueError as exc:
+            breaks.append(f"{path.name}: {exc}")
+    return breaks
+
+
+@pytest.mark.parametrize("name", list(BASES))
+def test_each_option_alone_at_edge_values(name, fuzz_inputs, tmp_path,
+                                          monkeypatch):
+    # A bad value must end as one ERROR line at exit 1, checked where it
+    # enters: never exit 70, a leaked warning or a non-finite report.
+    # Building the parser is half the cost of a short run; parse_args
+    # leaves the parser as it was, so one build serves every run.
+    monkeypatch.setattr(cli, "build_parser", lambda: PARSER)
+    command, base = BASES[name]
+    failures = {}
+    for n, options in enumerate(one_option_changes(command, base)):
+        breaks = contract_breaks(command, options, fuzz_inputs, tmp_path / str(n))
+        if breaks:
+            failures[repr({k: v for k, v in options.items()
+                           if base.get(k, "-") != v})] = breaks
+    assert not failures, "\n".join(f"{k}: {v}" for k, v in failures.items())
+
+
+@pytest.mark.parametrize("name", list(BASES))
+@settings(max_examples=30, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_two_fuzzed_options_end_in_one_error_line(name, data, fuzz_inputs,
+                                                  tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", lambda: PARSER)
+    command, base = BASES[name]
+    options = data.draw(two_option_changes(command, base), label="options")
+    workdir = Path(tempfile.mkdtemp(dir=tmp_path)) / "run"
+    assert contract_breaks(command, options, fuzz_inputs, workdir) == []

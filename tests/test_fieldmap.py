@@ -322,6 +322,16 @@ class TestNormalizeToVacuum:
         with pytest.raises(DomainError):
             fm.normalize_to_vacuum(fmap, 0.0)
 
+    @pytest.mark.parametrize("b_y, energy_j, f_c", [
+        (1e-3, None, 1e-300),  # h f_c underflows to 0
+        (1e-3, 1e100, 1e-290),  # the photon number overflows
+        (1e300, 1e-300, 3e9),  # the scaled field overflows
+    ])
+    def test_out_of_range_photon_number_rejected(self, b_y, energy_j, f_c):
+        fmap = uniform_map((0.0, b_y, 0.0), energy_j=energy_j)
+        with pytest.raises(DomainError, match="out of range"):
+            fm.normalize_to_vacuum(fmap, f_c)
+
 
 def two_value_map():
     """3x2x2 grid whose two x-cells average to |B| = 1 and 3."""

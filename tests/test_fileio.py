@@ -242,8 +242,7 @@ SYSTEM = sp.CoupledSystem(3e9, 1e6, 3e9, 2e6, 1e7)
 def test_pinned_crossing_grid_bytes(tmp_path):
     path = tmp_path / "g.csv"
     sp.write_grid(path, sp.SpectrumGrid(delta_s_hz=[-1e6, 1e6], nu_p_hz=[0.0, 0.5],
-                                        s21_sq=[[0.25, 0.5], [0.75, 1.0]],
-                                        system=SYSTEM))
+                                        s21_sq=[[0.25, 0.5], [0.75, 1.0]]))
     assert path.read_text() == ("delta_s_Hz,nu_p_Hz,S21_sq\n"
                                 "-1000000,0,0.25\n"
                                 "-1000000,0.5,0.5\n"

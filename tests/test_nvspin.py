@@ -50,10 +50,6 @@ class TestZeroField:
         assert levels.f_lower == pytest.approx(2.87e9, rel=1e-12)
         assert levels.f_upper == pytest.approx(2.87e9, rel=1e-12)
 
-    def test_ground_state_unambiguous(self):
-        levels = transition_frequencies(NV, NV_AXES[0], np.zeros(3))
-        assert not levels.ground_ambiguous
-
 
 class TestAxialField:
     def test_linear_splitting_on_axis(self):

@@ -111,7 +111,6 @@ class TestSpectrum:
         assert spec.freq_hz[0] == 3.1e9
         assert spec.freq_hz[-1] == 3.14e9
         assert spec.freq_hz.size == 41
-        assert spec.system is REFERENCE_POINT
 
     def test_bad_range_rejected(self):
         with pytest.raises(DomainError):
@@ -222,11 +221,6 @@ class TestPeakSplitting:
             spec = sp.spectrum(sys_, 3.121e9 - 50e6, 3.121e9 + 50e6, 3001)
             splits.append(sp.peak_splitting(spec))
         assert all(a < b for a, b in zip(splits, splits[1:]))
-
-    def test_noise_floor_can_hide_peaks(self):
-        spec = reference_spectrum()
-        with pytest.raises(NoSplittingError):
-            sp.peak_splitting(spec, noise_floor=1.0)
 
     def test_refinement_is_grid_resolution_stable(self):
         coarse = sp.peak_splitting(reference_spectrum(301))
