@@ -20,8 +20,6 @@ import os
 import stat
 import tempfile
 
-import numpy as np
-
 from .errors import ValidationError
 
 
@@ -86,6 +84,8 @@ def read_table(path, header: str, n_columns: int, module: str):
     or a spelling only ``float`` accepts, such as ``1_0``), a line scan
     reads the body instead and names the first defective line.
     """
+    import numpy as np  # only readers need it; writers start without numpy
+
     try:
         with open(path) as fh:
             raw_lines = fh.read().splitlines()

@@ -22,9 +22,9 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import circuit, constants, coupling, fieldmap, nvspin, spectroscopy
+# Each command imports the modules it runs, so `constants` and `design`
+# start without numpy and none loads a solver it does not use.
+from . import constants
 from ._fileio import write_json, write_table
 from .errors import ToolkitError, ValidationError
 
@@ -97,6 +97,12 @@ def _list_of(convert, length=None):
     return converted
 
 
+def _vector(value):
+    import numpy as np
+
+    return np.array(_list_of(_number, 3)(value))
+
+
 def _names(value) -> tuple:
     names = value.split(",") if isinstance(value, str) else value
     return tuple(n.strip() for n in _list_of(_exactly(str))(names) if n.strip())
@@ -112,8 +118,7 @@ def _choice(*choices) -> _Kind:
 
 _NUMBER = _Kind("a number", _number, {"type": float})
 _INTEGER = _Kind("an integer", _integer, {"type": int})
-_VECTOR = _Kind("a list of 3 numbers",
-                lambda value: np.array(_list_of(_number, 3)(value)),
+_VECTOR = _Kind("a list of 3 numbers", _vector,
                 {"type": float, "nargs": 3, "metavar": ("X", "Y", "Z")})
 _INTEGERS3 = _Kind("a list of 3 integers", _list_of(_integer, 3),
                    {"type": int, "nargs": 3, "metavar": ("NX", "NY", "NZ")})
@@ -172,7 +177,7 @@ _OPTIONS = {
         ("normalize_to_GHz", _NUMBER, None,
          "rescale to the single-photon field of this mode frequency"),
         *_REGION,
-        ("bins", _NUMBERS, fieldmap.DEFAULT_CONTOUR_BINS,
+        ("bins", _NUMBERS, constants.DEFAULT_CONTOUR_BINS,
          "homogeneity histogram bin edges (fractions)"),
         ("out_map", _PATH, "fieldmap.csv", "map CSV path"),
         ("out_report", _PATH, "homogeneity.json", "homogeneity JSON path"),
@@ -273,6 +278,8 @@ def _write_plot(out_path: str, header: str, rows) -> None:
 
 
 def cmd_design(opts) -> int:
+    from . import circuit
+
     area, length, width = _require(opts, "design", "A_mm2", "l_mm", "w_mm")
     k_l, eps_r = opts["k_L"], opts["epsilon_r"]
     target = opts["target_freq_GHz"]
@@ -310,6 +317,8 @@ def cmd_design(opts) -> int:
     write_json(out, report)
     print(f"wrote {out}")
     if opts["emit_plot_data"]:
+        import numpy as np
+
         gaps = np.linspace(0.5 * gap, 1.5 * gap, 51)
         sweep = []
         for d in gaps:
@@ -322,6 +331,10 @@ def cmd_design(opts) -> int:
 
 
 def cmd_spins(opts) -> int:
+    import numpy as np
+
+    from . import nvspin
+
     species = nvspin.SpinSpecies(zero_field_splitting=opts["D_GHz"],
                                  g_factor=opts["g_factor"])
     direction = opts["direction"]
@@ -346,6 +359,8 @@ def cmd_spins(opts) -> int:
 
 
 def cmd_fieldmap(opts) -> int:
+    from . import fieldmap
+
     center, extents = opts["region_center_mm"], opts["region_extents_mm"]
     if center is not None or extents is not None:
         _require(opts, "fieldmap", "region_center_mm", "region_extents_mm")
@@ -386,6 +401,8 @@ def cmd_fieldmap(opts) -> int:
 
 
 def cmd_couple(opts) -> int:
+    from . import coupling, fieldmap, nvspin
+
     fmap = fieldmap.ingest_map(_input_path(opts, "couple", "map"))
     _require(opts, "couple", "region_center_mm", "region_extents_mm",
              "density_ppm")
@@ -415,12 +432,16 @@ def cmd_couple(opts) -> int:
     return 0
 
 
-def _system_from_opts(opts, command) -> spectroscopy.CoupledSystem:
+def _system_from_opts(opts, command):
+    from . import spectroscopy
+
     keys = [key for key, *_ in _SYSTEM]
     return spectroscopy.CoupledSystem(*_require(opts, command, *keys))
 
 
 def cmd_spectrum(opts) -> int:
+    from . import spectroscopy
+
     sys_ = _system_from_opts(opts, "spectrum")
     if opts["map2d"]:
         keys = ("delta_min_MHz", "delta_max_MHz", "probe_min_MHz",
@@ -457,6 +478,8 @@ def cmd_spectrum(opts) -> int:
 
 
 def cmd_fit(opts) -> int:
+    from . import spectroscopy
+
     data = spectroscopy.read_spectrum(
         _input_path(opts, "fit", "data"),
         magnitude="dB" if opts["input_dB"] else "linear")

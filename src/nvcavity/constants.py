@@ -24,6 +24,12 @@ CARBON_SITE_DENSITY_M3 = 1.76e29  # [m^-3] (= 1.76e23 cm^-3)
 # Spin transition matrix element |<+-1|Sx|0>| of a spin-1 triplet.
 SPIN_MATRIX_ELEMENT = 2.0**-0.5
 
+# Default upper edges of the homogeneity histogram bins, as fractions of
+# the region mean.  A report setting, not a physical value, so it is not
+# in the registry; it lives here so the CLI's option table can read it
+# without importing the field solver.
+DEFAULT_CONTOUR_BINS = (0.01, 0.02, 0.05, 0.10)
+
 
 def registry() -> list[dict]:
     """All constants as (name, value, unit, description) records."""

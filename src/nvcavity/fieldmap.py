@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fileio import atomic_write_text, read_table, write_table
-from .constants import MU_0, PLANCK_H
+from .constants import DEFAULT_CONTOUR_BINS, MU_0, PLANCK_H
 from .errors import DomainError, SingularityError, ValidationError
 
 _MODULE = "fieldmap"
@@ -110,9 +110,10 @@ class FieldMap:
         if not (math.isfinite(self.energy_j) and self.energy_j > 0):
             raise ValidationError("energy_j must be a positive finite number",
                                   module=_MODULE)
-        if self.photon_frequency_hz is not None and self.photon_frequency_hz <= 0:
-            raise ValidationError("photon_frequency_hz must be > 0 when set",
-                                  module=_MODULE)
+        if self.photon_frequency_hz is not None \
+                and not 0 < self.photon_frequency_hz < math.inf:
+            raise ValidationError("photon_frequency_hz must be positive and finite "
+                                  "when set", module=_MODULE)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -397,9 +398,6 @@ def normalize_to_vacuum(fmap: FieldMap, f_c: float) -> FieldMap:
                     energy_j=photon_energy, photon_frequency_hz=f_c)
 
 
-DEFAULT_CONTOUR_BINS = (0.01, 0.02, 0.05, 0.10)
-
-
 def homogeneity(fmap: FieldMap, region: SampleRegion,
                 bins=DEFAULT_CONTOUR_BINS) -> HomogeneityReport:
     """Volume-weighted homogeneity statistics of |B| over a region.
@@ -517,10 +515,19 @@ def ingest_map(path) -> FieldMap:
         raise ValidationError("sidecar grid dims must be >= 1", module=_MODULE)
     origin = np.array([meta["origin_x_m"], meta["origin_y_m"], meta["origin_z_m"]])
     spacing = np.array([meta["spacing_x_m"], meta["spacing_y_m"], meta["spacing_z_m"]])
-    if np.any(spacing <= 0) or not np.all(np.isfinite(origin)):
+    if not (np.all(spacing > 0) and np.all(np.isfinite(spacing))
+            and np.all(np.isfinite(origin))):
         raise ValidationError("sidecar origin/spacing invalid", module=_MODULE)
 
     data, line_numbers = read_table(path, _CSV_HEADER, 6, _MODULE)
+    # A coordinate far off the lattice scale overflows its lattice position.
+    with np.errstate(over="ignore"):
+        off_scale = ~np.isfinite((data[:, :3] - origin) / spacing)
+    if off_scale.any():
+        row, ax = (int(i) for i in np.argwhere(off_scale)[0])
+        raise ValidationError(
+            f"{path}:{line_numbers[row]}: coordinate {float(data[row, ax])!r} is not "
+            f"on the declared grid lattice (axis {ax})", module=_MODULE)
     n_nodes = dims[0] * dims[1] * dims[2]
     b = np.empty((*dims, 3))
     seen = np.zeros(dims, dtype=bool)

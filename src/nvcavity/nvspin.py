@@ -107,6 +107,27 @@ def _local_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _zeeman_field(species: SpinSpecies, b0) -> np.ndarray:
+    """``b0`` as a finite 3-vector whose Zeeman term does not overflow."""
+    b0 = _field_vector(b0)
+    # The levels span 2 g mu_B |B| / h, which must not overflow.
+    if not math.isfinite(2.0 * species.zeeman_hz_per_t * math.hypot(*b0)):
+        raise DomainError(f"Zeeman term g mu_B |B| / h overflows at |B| = "
+                          f"{math.hypot(*b0):.6g} T", module=_MODULE)
+    return b0
+
+
+def _hamiltonians(species: SpinSpecies, axis: np.ndarray,
+                  fields: np.ndarray) -> np.ndarray:
+    """H/h with Sz along ``axis`` for each row of ``fields``, shape (n, 3, 3)."""
+    frame = (*_local_frame(axis), axis)
+    # One np.dot per field: a matrix product rounds differently.
+    b = np.array([[np.dot(b0, v) for v in frame] for b0 in fields]).reshape(-1, 3, 1, 1)
+    h = species.zero_field_splitting * (SPIN1_Z @ SPIN1_Z)
+    return h + species.zeeman_hz_per_t * (
+        b[:, 0] * SPIN1_X + b[:, 1] * SPIN1_Y + b[:, 2] * SPIN1_Z)
+
+
 def hamiltonian(species: SpinSpecies, axis, b0) -> np.ndarray:
     """3x3 spin Hamiltonian H/h in hertz, with Sz along ``axis``.
 
@@ -114,36 +135,32 @@ def hamiltonian(species: SpinSpecies, axis, b0) -> np.ndarray:
     axis-local frame, so transverse components are retained.
     """
     axis = _unit_vector(axis, "axis")
-    b0 = _field_vector(b0)
-    zeeman = species.zeeman_hz_per_t
-    # The levels span 2 g mu_B |B| / h, which must not overflow.
-    if not math.isfinite(2.0 * zeeman * math.hypot(*b0)):
-        raise DomainError(f"Zeeman term g mu_B |B| / h overflows at |B| = "
-                          f"{math.hypot(*b0):.6g} T", module=_MODULE)
-    ex, ey = _local_frame(axis)
-    bx, by, bz = np.dot(b0, ex), np.dot(b0, ey), np.dot(b0, axis)
-    h = species.zero_field_splitting * (SPIN1_Z @ SPIN1_Z)
-    h = h + zeeman * (bx * SPIN1_X + by * SPIN1_Y + bz * SPIN1_Z)
-    return h
+    return _hamiltonians(species, axis, _zeeman_field(species, b0)[None])[0]
 
 
-def transition_frequencies(species: SpinSpecies, axis, b0) -> SpinLevels:
-    """Diagonalize the spin Hamiltonian and extract the two transitions.
+def _transitions(h: np.ndarray):
+    """Eigenvalues and sorted (f_lower, f_upper) of each Hamiltonian in ``h``.
 
     The ground sublevel is the eigenvector with maximal overlap with
     |m_s=0>, which stays correct at transverse fields where plain energy
     ordering would mislabel the states.
     """
-    h = hamiltonian(species, axis, b0)
     eigvals, eigvecs = np.linalg.eigh(h)
-    overlaps = np.abs(eigvecs[1, :]) ** 2  # |<m_s=0|v_i>|^2
+    overlaps = np.abs(eigvecs[..., 1, :]) ** 2  # |<m_s=0|v_i>|^2
     # On an exact tie argsort's last index wins (argmax would take the first).
-    ground = int(np.argsort(overlaps)[-1])
-    others = [i for i in range(3) if i != ground]
-    f_a, f_b = (float(eigvals[i] - eigvals[ground]) for i in others)
-    f_lower, f_upper = sorted((f_a, f_b))
+    ground = np.argsort(overlaps, axis=-1)[..., -1:]
+    others = (ground + np.array([1, 2])) % 3
+    f_ab = (np.take_along_axis(eigvals, others, axis=-1)
+            - np.take_along_axis(eigvals, ground, axis=-1))
+    return eigvals, np.sort(f_ab, axis=-1)
+
+
+def transition_frequencies(species: SpinSpecies, axis, b0) -> SpinLevels:
+    """Diagonalize the spin Hamiltonian and extract the two transitions
+    from the ground (max |m_s=0> overlap) sublevel."""
+    eigvals, (f_lower, f_upper) = _transitions(hamiltonian(species, axis, b0))
     return SpinLevels(eigenvalues=tuple(float(v) for v in eigvals),
-                      f_lower=f_lower, f_upper=f_upper)
+                      f_lower=float(f_lower), f_upper=float(f_upper))
 
 
 # Search range [T] and frequency tolerance [Hz] of zeeman_tune.
@@ -221,10 +238,16 @@ def write_transition_sweep(path, species: SpinSpecies, direction,
     per (field magnitude, NV axis) pair, over the four axes of NV_AXES.
     """
     direction = _unit_direction(direction)
-    rows = []
-    for b_mag in np.asarray(b_values, dtype=float):
-        for idx, axis in enumerate(NV_AXES):
-            levels = transition_frequencies(species, axis, b_mag * direction)
-            rows.append((b_mag, idx, levels.f_lower, levels.f_upper))
+    b_values = np.asarray(b_values, dtype=float)
+    fields = b_values[:, None] * direction
+    # The first field that is not finite, or whose Zeeman term overflows,
+    # is rejected before anything is built or written.
+    for b0 in fields:
+        _zeeman_field(species, b0)
+    # One stacked eigensolve over (field, axis), in row order.
+    h = np.stack([_hamiltonians(species, axis, fields) for axis in NV_AXES], axis=1)
+    freqs = _transitions(h)[1].tolist()
+    rows = [(b_mag, idx, *freqs[i][idx])
+            for i, b_mag in enumerate(b_values.tolist()) for idx in range(len(NV_AXES))]
     write_table(path, "B_magnitude_T,axis_index,f_lower_Hz,f_upper_Hz", rows)
     return rows

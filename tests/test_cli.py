@@ -481,15 +481,19 @@ import importlib.abc
 import sys
 
 
-class RefuseScipy(importlib.abc.MetaPathFinder):
+class Refuse(importlib.abc.MetaPathFinder):
+    def __init__(self, package):
+        self.package = package
+
     def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] == "scipy":
+        if name.partition(".")[0] == self.package:
             raise ImportError(f"{name} is refused")
         return None
 
 
-if sys.argv[1:] == ["--refuse-scipy"]:
-    sys.meta_path.insert(0, RefuseScipy())
+refused = sys.argv[1] if len(sys.argv) > 1 else None
+if refused is not None:
+    sys.meta_path.insert(0, Refuse(refused))
 
 from nvcavity.cli import main
 
@@ -517,6 +521,8 @@ steps = [
      "--kappa-MHz", "1.4", "--omega-s-GHz", "3.1214",
      "--gamma-star-MHz", "2.2", "--Omega-MHz", "9", "--out", "fit.json"],
 ]
+if refused == "numpy":
+    steps = steps[:2]  # constants and design start without numpy
 for argv in steps:
     assert main(argv) == 0, argv
 print("scipy loaded:", "scipy" in sys.modules)
@@ -527,17 +533,59 @@ def test_no_subcommand_imports_scipy(tmp_path):
     import nvcavity
 
     src = str(Path(nvcavity.__file__).resolve().parent.parent)
-    # Once as is, once with every scipy import refused.
-    for extra in ([], ["--refuse-scipy"]):
-        cwd = tmp_path / (extra[0][2:] if extra else "plain")
+    # Once as is, once with every scipy import refused, and the first two
+    # steps once with every numpy import refused.
+    stdout = {}
+    for refused in (None, "scipy", "numpy"):
+        cwd = tmp_path / str(refused)
         cwd.mkdir()
+        extra = [] if refused is None else [refused]
         proc = subprocess.run([sys.executable, "-c", _COLD_PIPELINE, *extra],
                               cwd=cwd, env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert "scipy loaded: False" in proc.stdout
-        payload = json.loads((cwd / "fit.json").read_text())
-        assert payload["Omega_Hz"] == pytest.approx(12.46e6, rel=0.02)
+        assert proc.stdout.endswith("scipy loaded: False\n")
+        stdout[refused] = proc.stdout
+        if refused != "numpy":
+            payload = json.loads((cwd / "fit.json").read_text())
+            assert payload["Omega_Hz"] == pytest.approx(12.46e6, rel=0.02)
+    design_end = stdout[None].index("wrote design.json\n") + len("wrote design.json\n")
+    assert stdout["numpy"] == stdout[None][:design_end] + "scipy loaded: False\n"
+    assert ((tmp_path / "numpy" / "design.json").read_bytes()
+            == (tmp_path / "None" / "design.json").read_bytes())
+
+
+_LAZY_IMPORT = """
+import sys
+
+import nvcavity
+
+loaded = sorted(m for m in sys.modules if m.startswith("nvcavity.") or m == "numpy")
+assert loaded == [], loaded
+names = ("_fileio", "circuit", "cli", "constants", "coupling", "errors",
+         "fieldmap", "nvspin", "spectroscopy")
+assert set(names) <= set(dir(nvcavity)), dir(nvcavity)
+for name in names:
+    assert getattr(nvcavity, name) is sys.modules["nvcavity." + name], name
+try:
+    nvcavity.no_such_module
+except AttributeError:
+    pass
+else:
+    raise AssertionError("an unknown name resolved")
+print("ok")
+"""
+
+
+def test_import_nvcavity_loads_submodules_on_first_use():
+    import nvcavity
+
+    src = str(Path(nvcavity.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", _LAZY_IMPORT],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 _DESIGN = ("design", "--A-mm2", 100, "--l-mm", 10, "--w-mm", 2)
@@ -630,6 +678,53 @@ def test_impossible_size_is_memory_error(tmp_path, capsys, monkeypatch, argv):
     # sizes that could really be allocated are not tested.
     assert_one_error_line(tmp_path, capsys, monkeypatch, argv,
                           "ERROR:cli:memory: ")
+
+
+def _set_sidecar(meta, key, value):
+    lines = [line for line in meta.read_text().splitlines()
+             if not line.startswith(key + "=")]
+    meta.write_text("\n".join([*lines, f"{key}={value}"]) + "\n")
+
+
+def _set_first_x(csv, x):
+    header, first, *rest = csv.read_text().splitlines()
+    first = ",".join([x, *first.split(",")[1:]])
+    csv.write_text("\n".join([header, first, *rest]) + "\n")
+
+
+# Each once reached exit 70, leaked a warning, or was taken as valid.
+_BAD_SIDECARS = {
+    "spacing nan": [("spacing_x_m", "nan")],
+    "spacing inf": [("spacing_x_m", "inf")],
+    "spacing 5e-324": [("spacing_x_m", "5e-324")],
+    "x 1e308 at spacing 1e-10": [("spacing_x_m", "1e-10"), ("x", "1e308")],
+    "photon frequency nan": [("photon_frequency_Hz", "nan")],
+    "photon frequency inf": [("photon_frequency_Hz", "inf")],
+}
+
+
+@pytest.mark.parametrize("command", ["fieldmap", "couple"])
+@pytest.mark.parametrize("case", list(_BAD_SIDECARS))
+def test_bad_sidecar_is_validation_error(tmp_path, capsys, monkeypatch,
+                                         command, case):
+    bad = tmp_path / "bad.csv"
+    # The photon frequency cases give an unnormalized map that key.
+    normalized = not case.startswith("photon")
+    export_uniform_map(bad, magnitude=8.74e-12,
+                       f_c=3.121e9 if normalized else None)
+    meta = tmp_path / "bad.csv.meta"
+    for key, value in _BAD_SIDECARS[case]:
+        if key == "x":
+            _set_first_x(bad, value)
+        else:
+            _set_sidecar(meta, key, value)
+    if command == "fieldmap":
+        argv = ("fieldmap", "--source", "file", "--infile", bad)
+    else:
+        argv = ("couple", "--map", bad, "--density-ppm", 40,
+                "--region-center-mm", 0, 0, 0, "--region-extents-mm", 2, 2, 0.6)
+    assert_one_error_line(tmp_path, capsys, monkeypatch, argv,
+                          "ERROR:fieldmap:validation: ")
 
 
 class TestErrorProtocol:

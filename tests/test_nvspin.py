@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvcavity.constants import BOHR_MAGNETON, PLANCK_H
 from nvcavity.errors import DomainError, NoSolutionError
@@ -305,3 +307,31 @@ class TestSweepFile:
         write_transition_sweep(scaled, NV, [0.0, 2.5, 0.0], [0.0, 0.01])
         write_transition_sweep(unit, NV, [0.0, 1.0, 0.0], [0.0, 0.01])
         assert scaled.read_text() == unit.read_text()
+
+
+_DIRECTIONS = st.one_of(
+    st.sampled_from([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0],
+                     [1.0, -1.0, -1.0], [1.0, 1.0, 0.0]]),
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+        lambda v: np.linalg.norm(v) > 1e-3))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(direction=_DIRECTIONS,
+       fields=st.lists(st.floats(0.0, 0.5), max_size=6),
+       d_ghz=st.floats(0.5, 5.0), g_factor=st.floats(1.0, 3.0))
+def test_sweep_rows_equal_per_row_transitions(tmp_path_factory, direction,
+                                              fields, d_ghz, g_factor):
+    # The sweep diagonalizes every (field, axis) row in one stacked solve;
+    # each row must equal the single-matrix result bit for bit.
+    species = SpinSpecies(zero_field_splitting=d_ghz * 1e9, g_factor=g_factor)
+    b_values = [0.0, *fields]
+    unit = np.asarray(direction) / np.linalg.norm(direction)
+    path = tmp_path_factory.mktemp("sweep") / "sweep.csv"
+    rows = write_transition_sweep(path, species, direction, b_values)
+    expected = []
+    for b in b_values:
+        for idx, axis in enumerate(NV_AXES):
+            levels = transition_frequencies(species, axis, b * unit)
+            expected.append((b, idx, levels.f_lower, levels.f_upper))
+    assert rows == expected
