@@ -3,12 +3,12 @@
 Subcommands: design, spins, fieldmap, couple, spectrum, fit, constants.
 ``_OPTIONS`` declares every option once as (key, kind, default, help);
 its flag is ``--`` plus the key with dashes, and ``--help`` shows its
-default.  Any option but --emit-plot-data can also come from the
-command's section of a JSON config file (--config or NVCAVITY_CONFIG).
-Before a command runs, each option resolves once: flag, else config
-value checked against its kind (JSON booleans, whole-number integers,
-JSON lists for vectors; unknown keys are ignored), else default.  Keys
-with a unit suffix (_mm, _mm2, _mT, _GHz, _MHz) are scaled to SI.
+default.  Any option can also come from the command's section of a JSON
+config file (--config or NVCAVITY_CONFIG).  Before a command runs, each
+option resolves once: flag, else config value checked against its kind
+(JSON booleans, whole-number integers, JSON lists for vectors; unknown
+keys are ignored), else default.  Keys with a unit suffix (_mm, _mm2,
+_mT, _GHz, _MHz) are scaled to SI.
 
 All errors print a machine-parsable ``ERROR:<module>:<code>: message``
 line on stderr; exit status is 0 only when every requested output was
@@ -141,6 +141,8 @@ _REGION = [
     ("region_extents_mm", _VECTOR, None, "sample region extents [mm]"),
 ]
 _G_FACTOR = ("g_factor", _NUMBER, constants.NV_G_FACTOR, "electron g-factor")
+_EMIT_PLOT_DATA = ("emit_plot_data", _FLAG, False,
+                   "also write gnuplot-ready column files")
 
 _OPTIONS = {
     "design": [
@@ -153,6 +155,7 @@ _OPTIONS = {
         ("target_freq_GHz", _NUMBER, None,
          "solve the gap for this eigenfrequency instead of using --d-mm"),
         ("out", _PATH, "design_report.json", "JSON report path"),
+        _EMIT_PLOT_DATA,
     ],
     "spins": [
         ("direction", _VECTOR, [0.0, 1.0, 0.0], "field direction, crystal frame"),
@@ -164,10 +167,10 @@ _OPTIONS = {
         ("tune_to_GHz", _NUMBER, None, "tune a transition to this frequency"),
         ("branch", _choice("lower", "upper"), "upper", "branch to tune"),
         ("out", _PATH, "spins_sweep.csv", "sweep CSV path"),
+        _EMIT_PLOT_DATA,
     ],
     "fieldmap": [
-        ("source", _choice("model", "file"), "model", "map source"),
-        ("infile", _PATH, None, "map CSV to ingest when source=file"),
+        ("infile", _PATH, None, "map CSV to ingest instead of the sheet model"),
         ("sheet_length_mm", _NUMBER, None, "bow-tie sheet length [mm]"),
         ("sheet_width_mm", _NUMBER, None, "bow-tie sheet width [mm]"),
         ("sheet_gap_mm", _NUMBER, None, "gap between the sheets [mm]"),
@@ -181,6 +184,7 @@ _OPTIONS = {
          "homogeneity histogram bin edges (fractions)"),
         ("out_map", _PATH, "fieldmap.csv", "map CSV path"),
         ("out_report", _PATH, "homogeneity.json", "homogeneity JSON path"),
+        _EMIT_PLOT_DATA,
     ],
     "couple": [
         ("map", _PATH, None, "normalized field-map CSV"),
@@ -209,6 +213,7 @@ _OPTIONS = {
         ("n_probe", _INTEGER, None, "probe points of the map"),
         ("out", _PATH, None,
          "CSV path (default spectrum.csv, or crossing_map.csv with --map2d)"),
+        _EMIT_PLOT_DATA,
     ],
     "fit": [
         ("data", _PATH, None, "spectrum CSV (freq_Hz,S21_sq)"),
@@ -222,6 +227,7 @@ _OPTIONS = {
          "start model when 'amplitude' is free, else 1)"),
         ("max_iterations", _INTEGER, 200, "cap on the model evaluations"),
         ("out", _PATH, "fit_result.json", "fit JSON path"),
+        _EMIT_PLOT_DATA,
     ],
     "constants": [],
 }
@@ -230,8 +236,7 @@ _OPTIONS = {
 def _resolve(args, config) -> dict:
     """Each option's flag, else config value, else default, checked and in SI."""
     section = config.get(args.command, {})
-    # --emit-plot-data is a flag only; it has never been read from a config.
-    opts = {"emit_plot_data": getattr(args, "emit_plot_data", False)}
+    opts = {}
     for key, kind, default, _ in _OPTIONS[args.command]:
         value = getattr(args, key)
         if value is None:
@@ -364,7 +369,7 @@ def cmd_fieldmap(opts) -> int:
     center, extents = opts["region_center_mm"], opts["region_extents_mm"]
     if center is not None or extents is not None:
         _require(opts, "fieldmap", "region_center_mm", "region_extents_mm")
-    if opts["source"] == "file":
+    if opts["infile"] is not None:
         fmap = fieldmap.ingest_map(_input_path(opts, "fieldmap", "infile"))
     else:
         _require(opts, "fieldmap", "sheet_length_mm", "sheet_width_mm",
@@ -537,9 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
             # default=None tells an absent flag from a given one.
             p.add_argument("--" + key.replace("_", "-"), default=None,
                            help=text, **kind.argparse)
-        if command not in ("couple", "constants"):  # neither writes a plot
-            p.add_argument("--emit-plot-data", action="store_true",
-                           help="also write gnuplot-ready column files")
     return parser
 
 

@@ -520,14 +520,21 @@ def ingest_map(path) -> FieldMap:
         raise ValidationError("sidecar origin/spacing invalid", module=_MODULE)
 
     data, line_numbers = read_table(path, _CSV_HEADER, 6, _MODULE)
-    # A coordinate far off the lattice scale overflows its lattice position.
+    # A coordinate far off the lattice scale overflows its lattice position,
+    # and a field sample far off scale its |B|^2.
     with np.errstate(over="ignore"):
         off_scale = ~np.isfinite((data[:, :3] - origin) / spacing)
+        too_large = ~np.isfinite(np.sum(data[:, 3:] * data[:, 3:], axis=1))
     if off_scale.any():
         row, ax = (int(i) for i in np.argwhere(off_scale)[0])
         raise ValidationError(
             f"{path}:{line_numbers[row]}: coordinate {float(data[row, ax])!r} is not "
             f"on the declared grid lattice (axis {ax})", module=_MODULE)
+    if too_large.any():
+        row = int(np.argmax(too_large))
+        raise ValidationError(f"{path}:{line_numbers[row]}: field sample "
+                              f"{data[row, 3:].tolist()} T overflows |B|^2",
+                              module=_MODULE)
     n_nodes = dims[0] * dims[1] * dims[2]
     b = np.empty((*dims, 3))
     seen = np.zeros(dims, dtype=bool)

@@ -21,8 +21,8 @@ from .errors import DomainError, NoSolutionError
 _MODULE = "nvspin"
 
 # Spin-1 operators in the {+1, 0, -1} basis.
-SPIN1_Z = np.diag([1.0, 0.0, -1.0]).astype(complex)
-SPIN1_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / math.sqrt(2)
+SPIN1_Z = np.diag([1.0, 0.0, -1.0])
+SPIN1_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / math.sqrt(2)
 SPIN1_Y = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / math.sqrt(2)
 
 # The four crystallographic NV axes (normalized <111> directions).
@@ -62,25 +62,6 @@ class SpinLevels:
     f_upper: float
 
 
-def _unit_vector(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,) or not np.all(np.isfinite(v)):
-        raise DomainError(f"{name} must be a finite 3-vector", module=_MODULE)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-9:
-        raise DomainError(f"{name} must be normalized (|{name}| = {norm:.12g})",
-                          module=_MODULE)
-    return v
-
-
-def _field_vector(b0) -> np.ndarray:
-    b0 = np.asarray(b0, dtype=float)
-    if b0.shape != (3,) or not np.all(np.isfinite(b0)):
-        raise DomainError("static field must be a finite 3-vector in tesla",
-                          module=_MODULE)
-    return b0
-
-
 def _unit_direction(direction) -> np.ndarray:
     """``direction`` divided by its norm, which must be nonzero and finite."""
     direction = np.asarray(direction, dtype=float)
@@ -97,19 +78,12 @@ def _unit_direction(direction) -> np.ndarray:
     return direction / norm
 
 
-def _local_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two transverse unit vectors completing ``axis`` to a right-handed frame."""
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(axis)))] = 1.0
-    x = seed - np.dot(seed, axis) * axis
-    x /= np.linalg.norm(x)
-    y = np.cross(axis, x)
-    return x, y
-
-
 def _zeeman_field(species: SpinSpecies, b0) -> np.ndarray:
     """``b0`` as a finite 3-vector whose Zeeman term does not overflow."""
-    b0 = _field_vector(b0)
+    b0 = np.asarray(b0, dtype=float)
+    if b0.shape != (3,) or not np.all(np.isfinite(b0)):
+        raise DomainError("static field must be a finite 3-vector in tesla",
+                          module=_MODULE)
     # The levels span 2 g mu_B |B| / h, which must not overflow.
     if not math.isfinite(2.0 * species.zeeman_hz_per_t * math.hypot(*b0)):
         raise DomainError(f"Zeeman term g mu_B |B| / h overflows at |B| = "
@@ -119,22 +93,33 @@ def _zeeman_field(species: SpinSpecies, b0) -> np.ndarray:
 
 def _hamiltonians(species: SpinSpecies, axis: np.ndarray,
                   fields: np.ndarray) -> np.ndarray:
-    """H/h with Sz along ``axis`` for each row of ``fields``, shape (n, 3, 3)."""
-    frame = (*_local_frame(axis), axis)
-    # One np.dot per field: a matrix product rounds differently.
-    b = np.array([[np.dot(b0, v) for v in frame] for b0 in fields]).reshape(-1, 3, 1, 1)
-    h = species.zero_field_splitting * (SPIN1_Z @ SPIN1_Z)
-    return h + species.zeeman_hz_per_t * (
-        b[:, 0] * SPIN1_X + b[:, 1] * SPIN1_Y + b[:, 2] * SPIN1_Z)
+    """H/h with Sz along ``axis`` for each row of ``fields``, shape (n, 3, 3).
+
+    B_par and |B_perp| are formed elementwise, so a row rounds the same
+    alone or in a stack, and by hypot, so no square overflows.
+    """
+    (ax, ay, az), (bx, by, bz) = axis, fields.T
+    b_par = bx * ax + by * ay + bz * az
+    b_perp = np.hypot(np.hypot(bx - b_par * ax, by - b_par * ay), bz - b_par * az)
+    zeeman = species.zeeman_hz_per_t * (b_perp[:, None, None] * SPIN1_X
+                                        + b_par[:, None, None] * SPIN1_Z)
+    return species.zero_field_splitting * (SPIN1_Z @ SPIN1_Z) + zeeman
 
 
 def hamiltonian(species: SpinSpecies, axis, b0) -> np.ndarray:
-    """3x3 spin Hamiltonian H/h in hertz, with Sz along ``axis``.
+    """Real symmetric 3x3 spin Hamiltonian H/h in hertz, Sz along ``axis``.
 
-    The Zeeman term uses the full field vector expressed in the
-    axis-local frame, so transverse components are retained.
+    H = D Sz^2 + (g mu_B / h) (B_perp Sx + B_par Sz): the transverse field
+    lies along Sx.  A rotation about the axis, diag(e^-i phi, 1, e^i phi)
+    in the {+1, 0, -1} basis, keeps the eigenvalues and |m_s=0> weights.
     """
-    axis = _unit_vector(axis, "axis")
+    axis = np.asarray(axis, dtype=float)
+    if axis.shape != (3,) or not np.all(np.isfinite(axis)):
+        raise DomainError("axis must be a finite 3-vector", module=_MODULE)
+    norm = float(np.linalg.norm(axis))
+    if abs(norm - 1.0) > 1e-9:
+        raise DomainError(f"axis must be normalized (|axis| = {norm:.12g})",
+                          module=_MODULE)
     return _hamiltonians(species, axis, _zeeman_field(species, b0)[None])[0]
 
 
@@ -200,9 +185,7 @@ def zeeman_tune(species: SpinSpecies, axes, direction, f_target: float,
     # Walk the monotone branch from 0 until the target is bracketed or
     # monotonicity breaks.
     n_scan = 256
-    b_lo, f_lo = 0.0, f0
-    b_hi = None
-    f_prev = f0
+    b_lo, b_hi, f_prev = 0.0, None, f0
     for k in range(1, n_scan + 1):
         b = _TUNE_B_MAX * k / n_scan
         f = freq(b)
@@ -211,7 +194,7 @@ def zeeman_tune(species: SpinSpecies, axes, direction, f_target: float,
         if (f >= f_target) if increasing else (f <= f_target):
             b_hi = b
             break
-        b_lo, f_lo, f_prev = b, f, f
+        b_lo, f_prev = b, f
     if b_hi is None:
         raise NoSolutionError(
             f"target {f_target:.6g} Hz not reachable on the monotone {which} "

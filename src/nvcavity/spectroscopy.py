@@ -443,7 +443,13 @@ def fit_spectrum(data: Spectrum, initial: CoupledSystem, free=None,
         if "amplitude" in free:
             # The model is linear in A0, so this start is exact in A0.
             m = s21_squared(initial, freqs)
-            initial_amplitude = float(m @ data.s21_sq / (m @ m))
+            with np.errstate(all="ignore"):  # rejected just below
+                initial_amplitude = float(m @ data.s21_sq / (m @ m))
+            if not (initial_amplitude > 0 and math.isfinite(initial_amplitude)):
+                raise DomainError(f"the default initial_amplitude, the least-squares "
+                                  f"scale (m . d) / (m . m) of the start model m on "
+                                  f"the data d, is {initial_amplitude:.6g}, not "
+                                  f"positive and finite", module=_MODULE)
     if not (initial_amplitude > 0 and math.isfinite(initial_amplitude)):
         raise DomainError(f"initial_amplitude must be > 0, got "
                           f"{initial_amplitude:.6g}", module=_MODULE)

@@ -180,8 +180,8 @@ class TestFieldmapCommand:
         infile = tmp_path / "in.csv"
         original = export_uniform_map(infile)
         out_map = tmp_path / "out.csv"
-        rc, _, _ = run_cli(capsys, "fieldmap", "--source", "file",
-                           "--infile", infile, "--out-map", out_map)
+        rc, _, _ = run_cli(capsys, "fieldmap", "--infile", infile,
+                           "--out-map", out_map)
         assert rc == 0
         assert np.array_equal(fm.ingest_map(out_map).b, original.b)
 
@@ -189,19 +189,30 @@ class TestFieldmapCommand:
         infile = tmp_path / "in.csv"
         export_uniform_map(infile)
         out_map = tmp_path / "out.csv"
-        rc, _, _ = run_cli(capsys, "fieldmap", "--source", "file",
-                           "--infile", infile, "--normalize-to-GHz", 3.121,
-                           "--out-map", out_map)
+        rc, _, _ = run_cli(capsys, "fieldmap", "--infile", infile,
+                           "--normalize-to-GHz", 3.121, "--out-map", out_map)
         assert rc == 0
         fmap = fm.ingest_map(out_map)
         assert fmap.photon_frequency_hz == 3.121 * 1e9
         assert fmap.energy_j == pytest.approx(PLANCK_H * 3.121e9, rel=1e-12)
 
+    def test_missing_infile_is_validation_error(self, tmp_path, capsys):
+        # A given --infile means "read this map", even next to sheet flags.
+        out_map = tmp_path / "out.csv"
+        rc, stdout, stderr = run_cli(
+            capsys, "fieldmap", "--infile", tmp_path / "nonexistent.csv",
+            "--sheet-length-mm", 8, "--sheet-width-mm", 6.6, "--sheet-gap-mm",
+            1.27, "--grid-extents-mm", 2, 2, 0.8, "--grid-dims", 3, 3, 3,
+            "--out-map", out_map)
+        assert (rc, stdout) == (1, "")
+        assert stderr.startswith("ERROR:cli:validation: input file for "
+                                 "'infile' not found")
+        assert not out_map.exists()
+
     def test_region_flags_must_come_together(self, tmp_path, capsys):
         infile = tmp_path / "in.csv"
         export_uniform_map(infile)
-        rc, _, stderr = run_cli(capsys, "fieldmap", "--source", "file",
-                                "--infile", infile,
+        rc, _, stderr = run_cli(capsys, "fieldmap", "--infile", infile,
                                 "--region-center-mm", 0, 0, 0,
                                 "--out-map", tmp_path / "out.csv")
         assert rc == 1
@@ -456,6 +467,22 @@ class TestFit:
         assert payload["amplitude"] == pytest.approx(
             model @ scaled.s21_sq / (model @ model), rel=1e-12)
 
+    @pytest.mark.parametrize("value", ["1e308", "0"])
+    def test_amplitude_start_that_is_not_positive_is_domain_error(
+            self, tmp_path, capsys, monkeypatch, value):
+        # (m . d) / (m . m) overflows on 1e308 data and is 0 on dark data;
+        # the error names that start, not an --initial-amplitude nobody set.
+        data = tmp_path / "flat.csv"
+        freqs = np.linspace(3.091e9, 3.151e9, 61).tolist()
+        data.write_text("freq_Hz,S21_sq\n"
+                        + "".join(f"{f!r},{value}\n" for f in freqs))
+        assert_one_error_line(
+            tmp_path, capsys, monkeypatch,
+            ("fit", "--data", data, *self.GUESS_ARGS, "--free",
+             "omega_c,kappa,omega_s,gamma_star,Omega,amplitude"),
+            "ERROR:spectroscopy:domain: the default initial_amplitude, the "
+            "least-squares scale (m . d) / (m . m)")
+
     def test_missing_data_file(self, tmp_path, capsys):
         rc, _, stderr = run_cli(capsys, "fit", "--data",
                                 tmp_path / "nope.csv", *self.GUESS_ARGS,
@@ -692,7 +719,17 @@ def _set_first_x(csv, x):
     csv.write_text("\n".join([header, first, *rest]) + "\n")
 
 
-# Each once reached exit 70, leaked a warning, or was taken as valid.
+def _set_column(csv, column, value):
+    """Set one column of every data row of ``csv`` to ``value``."""
+    header, *rows = csv.read_text().splitlines()
+    index = header.split(",").index(column)
+    rows = [",".join(value if i == index else v
+                     for i, v in enumerate(row.split(","))) for row in rows]
+    csv.write_text("\n".join([header, *rows]) + "\n")
+
+
+# Each once reached exit 70, leaked a warning, or was taken as valid.  A
+# B column at +-1e300 or +-1e308 overflows |B|^2 and blamed the region mean.
 _BAD_SIDECARS = {
     "spacing nan": [("spacing_x_m", "nan")],
     "spacing inf": [("spacing_x_m", "inf")],
@@ -700,6 +737,9 @@ _BAD_SIDECARS = {
     "x 1e308 at spacing 1e-10": [("spacing_x_m", "1e-10"), ("x", "1e308")],
     "photon frequency nan": [("photon_frequency_Hz", "nan")],
     "photon frequency inf": [("photon_frequency_Hz", "inf")],
+    **{f"{column} {value} on every row": [(column, value)]
+       for column in ("Bx_T", "By_T", "Bz_T")
+       for value in ("1e300", "-1e300", "1e308", "-1e308")},
 }
 
 
@@ -716,10 +756,12 @@ def test_bad_sidecar_is_validation_error(tmp_path, capsys, monkeypatch,
     for key, value in _BAD_SIDECARS[case]:
         if key == "x":
             _set_first_x(bad, value)
+        elif key.endswith("_T"):
+            _set_column(bad, key, value)
         else:
             _set_sidecar(meta, key, value)
     if command == "fieldmap":
-        argv = ("fieldmap", "--source", "file", "--infile", bad)
+        argv = ("fieldmap", "--infile", bad)
     else:
         argv = ("couple", "--map", bad, "--density-ppm", 40,
                 "--region-center-mm", 0, 0, 0, "--region-extents-mm", 2, 2, 0.6)

@@ -179,7 +179,8 @@ def test_readme_pipeline_writes_strict_json(tmp_path, monkeypatch, capsys):
 
     monkeypatch.chdir(tmp_path)
     for argv in readme_commands():
-        plot = [] if argv[1] in ("couple", "constants") else ["--emit-plot-data"]
+        keys = {key for key, *_ in cli._OPTIONS[argv[1]]}
+        plot = ["--emit-plot-data"] if "emit_plot_data" in keys else []
         assert cli.main(argv[1:] + plot) == 0, argv
     reports = sorted(path.name for path in tmp_path.glob("*.json"))
     assert reports == ["coupling.json", "design.json", "fit.json",
@@ -338,11 +339,12 @@ def fuzz_inputs(tmp_path_factory):
 ERROR_LINE = r"^ERROR:[a-z_]+:[a-z_]+: "
 
 
-def contract_breaks(command, options, inputs, workdir):
+def contract_breaks(command, options, inputs, workdir, edit=None):
     """Run ``cli.main`` in ``workdir``; what it did against the error contract.
 
     The contract: exit 0 with an empty stderr, or exit 1 with exactly one
     ``ERROR:<module>:<code>: `` line; no warning; strict JSON reports.
+    ``edit(workdir)``, when given, changes the copied input files first.
     """
     def reject(constant):
         raise ValueError(f"{constant} is not a JSON number")
@@ -351,6 +353,8 @@ def contract_breaks(command, options, inputs, workdir):
     for path in inputs.iterdir():
         if not path.name.endswith((".json", ".cfg")):
             shutil.copy(path, workdir)
+    if edit is not None:
+        edit(workdir)
     argv = command_line(command, options, workdir / "options.cfg")
     err = io.StringIO()
     cwd = os.getcwd()
@@ -405,3 +409,75 @@ def test_two_fuzzed_options_end_in_one_error_line(name, data, fuzz_inputs,
     options = data.draw(two_option_changes(command, base), label="options")
     workdir = Path(tempfile.mkdtemp(dir=tmp_path)) / "run"
     assert contract_breaks(command, options, fuzz_inputs, workdir) == []
+
+
+# The file-content fuzz reads the map and spectrum above through three
+# commands, with one value of the edge pool written into them: a map B
+# column (on one row or every row), one coordinate or one sidecar value,
+# or a spectrum frequency or value (on one row or every row).
+_SIDECAR_KEYS = ["nx", "ny", "nz", "origin_x_m", "origin_y_m", "origin_z_m",
+                 "spacing_x_m", "spacing_y_m", "spacing_z_m", "energy_J",
+                 "photon_frequency_Hz"]
+_FREE_ALL = "omega_c,kappa,omega_s,gamma_star,Omega,amplitude"
+FILE_READERS = {
+    "fieldmap": ("fieldmap", "map", {
+        "infile": "map.csv", "normalize_to_GHz": 3.121, **_REGION,
+        "out_map": "out.csv", "out_report": "homogeneity.json"}),
+    "couple": ("couple", "map", BASES["couple"][1]),
+    "fit": ("fit", "spectrum", BASES["fit"][1]),
+    "fit dB": ("fit", "spectrum", {**BASES["fit"][1], "input_dB": True}),
+    "fit amplitude": ("fit", "spectrum", {**BASES["fit"][1], "free": _FREE_ALL}),
+}
+
+
+def file_edits(source):
+    """Strategy of (file, column or sidecar key, row, value) edits.
+
+    Rows are the first, middle and last data rows of the 51-point spectrum
+    and the 5 x 5 x 3 map, or None for every row.
+    """
+    value = st.sampled_from(EDGE_NUMBERS)
+    if source == "spectrum":
+        return st.tuples(st.just("spectrum.csv"), st.sampled_from([0, 1]),
+                         st.sampled_from([None, 0, 25, 50]), value)
+    map_rows = [0, 37, 74]
+    return st.one_of(
+        st.tuples(st.just("map.csv"), st.sampled_from([3, 4, 5]),
+                  st.sampled_from([None, *map_rows]), value),
+        st.tuples(st.just("map.csv"), st.sampled_from([0, 1, 2]),
+                  st.sampled_from(map_rows), value),
+        st.tuples(st.just("map.csv.meta"), st.sampled_from(_SIDECAR_KEYS),
+                  st.just(None), value))
+
+
+def apply_edit(workdir, name, column, row, value):
+    """Write ``value`` as the toolkit writes numbers (``%.17g``) into a file."""
+    path = workdir / name
+    text = "%.17g" % value
+    head, *lines = path.read_text().splitlines()
+    if name.endswith(".meta"):
+        lines = [f"{column}={text}" if line.startswith(column + "=") else line
+                 for line in [head, *lines]]
+        path.write_text("\n".join(lines) + "\n")
+        return
+    for k in range(len(lines)) if row is None else [row]:
+        cells = lines[k].split(",")
+        cells[column] = text
+        lines[k] = ",".join(cells)
+    path.write_text("\n".join([head, *lines]) + "\n")
+
+
+@pytest.mark.parametrize("name", list(FILE_READERS))
+@settings(max_examples=120, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_file_contents_at_edge_values_end_in_one_error_line(
+        name, data, fuzz_inputs, tmp_path, monkeypatch):
+    # Values in files enter where options do not: a map or spectrum that
+    # holds one must still end as exit 0, or as one ERROR line at exit 1.
+    monkeypatch.setattr(cli, "build_parser", lambda: PARSER)
+    command, source, options = FILE_READERS[name]
+    edit = data.draw(file_edits(source), label="edit")
+    workdir = Path(tempfile.mkdtemp(dir=tmp_path)) / "run"
+    assert contract_breaks(command, options, fuzz_inputs, workdir,
+                           edit=lambda path: apply_edit(path, *edit)) == []

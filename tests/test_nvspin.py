@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nvcavity.constants import BOHR_MAGNETON, PLANCK_H
@@ -23,6 +23,25 @@ from nvcavity.nvspin import (
 )
 
 NV = SpinSpecies()
+
+_NONZERO = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+    lambda v: np.linalg.norm(v) > 0.1)
+_UNIT_AXES = st.one_of(
+    st.sampled_from([*NV_AXES, np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0])]),
+    _NONZERO.map(lambda v: np.asarray(v) / np.linalg.norm(v)))
+
+
+def explicit_frame_hamiltonian(species, axis, b0):
+    """H/h with the field in a transverse frame seeded from the axis's
+    smallest component, the transverse y part along the complex Sy."""
+    seed = np.zeros(3)
+    seed[int(np.argmin(np.abs(axis)))] = 1.0
+    x = seed - np.dot(seed, axis) * axis
+    x /= np.linalg.norm(x)
+    y = np.cross(axis, x)
+    bx, by, bz = (float(np.dot(b0, u)) for u in (x, y, axis))
+    return (species.zero_field_splitting * (SPIN1_Z @ SPIN1_Z)
+            + species.zeeman_hz_per_t * (bx * SPIN1_X + by * SPIN1_Y + bz * SPIN1_Z))
 
 
 class TestSpinMatrices:
@@ -178,25 +197,48 @@ class TestHamiltonianStructure:
         h = hamiltonian(NV, NV_AXES[0], np.zeros(3))
         assert np.allclose(h, np.diag([2.87e9, 0.0, 2.87e9]), atol=1e-6)
 
-    def test_frame_invariance_of_spectrum(self):
-        # The eigenvalues depend only on the angle between axis and field.
-        rng = np.random.default_rng(13)
-        zden = NV.zeeman_hz_per_t
-        for _ in range(30):
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            b = 0.02
-            theta = rng.uniform(0, math.pi)
-            # a field at angle theta from the axis, arbitrary azimuth
-            perp = np.cross(axis, rng.normal(size=3))
-            perp /= np.linalg.norm(perp)
-            b0 = b * (math.cos(theta) * axis + math.sin(theta) * perp)
-            lv = transition_frequencies(NV, axis, b0)
-            ref = transition_frequencies(
-                NV, np.array([0.0, 0.0, 1.0]),
-                np.array([b * math.sin(theta), 0.0, b * math.cos(theta)]))
-            assert lv.f_lower == pytest.approx(ref.f_lower, rel=1e-9)
-            assert lv.f_upper == pytest.approx(ref.f_upper, rel=1e-9)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(axis=_UNIT_AXES, kind=st.sampled_from(["zero", "axial", "transverse",
+                                                  "any"]),
+           b=st.floats(0.0, 0.5), v=_NONZERO)
+    def test_frame_invariance_of_spectrum(self, axis, kind, b, v):
+        # The spectrum depends only on B_par and |B_perp|: it matches the
+        # complex Hamiltonian in an explicit transverse frame, and the same
+        # field at the same angle to the z axis.
+        v = np.asarray(v) / np.linalg.norm(v)
+        if kind == "transverse":
+            v = np.cross(axis, v)
+            assume(np.linalg.norm(v) > 0.1)
+            v /= np.linalg.norm(v)
+        b0 = {"zero": np.zeros(3), "axial": b * axis}.get(kind, b * v)
+        vals, vecs = np.linalg.eigh(explicit_frame_hamiltonian(NV, axis, b0))
+        ground = int(np.argmax(np.abs(vecs[1]) ** 2))
+        f_lower, f_upper = sorted(vals[i] - vals[ground] for i in range(3)
+                                  if i != ground)
+        b_par = float(b0 @ axis)
+        b_perp = float(np.linalg.norm(b0 - b_par * axis))
+        ref = transition_frequencies(NV, np.array([0.0, 0.0, 1.0]),
+                                     np.array([b_perp, 0.0, b_par]))
+        lv = transition_frequencies(NV, axis, b0)
+        # 1e-12 of the spectrum's scale: an eigenvalue or f_lower can be ~0.
+        tol = 1e-12 * (NV.zero_field_splitting
+                       + NV.zeeman_hz_per_t * np.linalg.norm(b0))
+        assert np.allclose(lv.eigenvalues, vals, rtol=0, atol=tol)
+        for f, f_oracle, f_ref in ((lv.f_lower, f_lower, ref.f_lower),
+                                   (lv.f_upper, f_upper, ref.f_upper)):
+            assert abs(f - f_oracle) <= tol and abs(f - f_ref) <= tol
+
+    def test_real_and_continuous_in_the_axis(self):
+        # The two axes lie 1e-12 apart, on either side of a change in their
+        # smallest component; a transverse frame seeded from that component
+        # turns there, and for this field its Hamiltonian jumps by 4.7e8 Hz.
+        b0 = np.array([0.004, -0.011, 0.007])
+        h = []
+        for axis in ([1.0, 1.0 + 1e-12, 1.0], [1.0 + 1e-12, 1.0, 1.0]):
+            h.append(hamiltonian(NV, np.asarray(axis) / np.linalg.norm(axis), b0))
+            assert h[-1].dtype == np.float64
+            assert np.array_equal(h[-1], h[-1].T)
+        assert np.max(np.abs(h[0] - h[1])) < 1.0
 
 
 class TestZeemanTune:
