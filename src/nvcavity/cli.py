@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 # start without numpy and none loads a solver it does not use.
 from . import constants
 from ._fileio import write_json, write_table
-from .errors import ToolkitError, ValidationError
+from .errors import ToolkitError, ValidationError, require_allocatable
 
 _MODULE = "cli"
 _CONFIG_ENV_VAR = "NVCAVITY_CONFIG"
@@ -322,15 +322,14 @@ def cmd_design(opts) -> int:
     write_json(out, report)
     print(f"wrote {out}")
     if opts["emit_plot_data"]:
+        from dataclasses import replace
+
         import numpy as np
 
-        gaps = np.linspace(0.5 * gap, 1.5 * gap, 51)
-        sweep = []
-        for d in gaps:
-            g = circuit.CavityGeometry(plate_area=area, gap=float(d),
-                                       path_length=length, path_width=width)
-            sweep.append((d, circuit.eigenfrequency(
-                g, inductance_scale=k_l, relative_permittivity=eps_r).f_c))
+        sweep = [(d, circuit.eigenfrequency(replace(geom, gap=float(d)),
+                                            inductance_scale=k_l,
+                                            relative_permittivity=eps_r).f_c)
+                 for d in np.linspace(0.5 * gap, 1.5 * gap, 51)]
         _write_plot(out, "# gap_m f_c_Hz", sweep)
     return 0
 
@@ -347,6 +346,7 @@ def cmd_spins(opts) -> int:
     if n_points < 2 or not 0 < b_max < math.inf:
         raise ValidationError("sweep needs a finite B_max_mT > 0 and n_points >= 2",
                               module=_MODULE)
+    require_allocatable(n_points, "sweep points")
     b_values = np.linspace(0.0, b_max, n_points)
 
     if opts["tune_to_GHz"] is not None:
@@ -384,13 +384,14 @@ def cmd_fieldmap(opts) -> int:
     if opts["normalize_to_GHz"] is not None:
         fmap = fieldmap.normalize_to_vacuum(fmap, opts["normalize_to_GHz"])
 
+    # The statistics can fail, so they come before any file is written.
+    report = None if center is None else fieldmap.homogeneity(
+        fmap, fieldmap.SampleRegion(center=center, extents=extents), bins=opts["bins"])
     out_map = opts["out_map"]
     fieldmap.export_map(out_map, fmap)
     print(f"wrote {out_map}")
 
-    if center is not None:
-        region = fieldmap.SampleRegion(center=center, extents=extents)
-        report = fieldmap.homogeneity(fmap, region, bins=opts["bins"])
+    if report is not None:
         out_report = opts["out_report"]
         write_json(out_report, report.as_dict())
         print(f"wrote {out_report}")

@@ -96,7 +96,8 @@ def single_spin_coupling(b_vac) -> float:
 
 def spin_count(ens: EnsembleSpec) -> float:
     """Number of spins in the ensemble region."""
-    return ens.density_ppm * 1e-6 * CARBON_SITE_DENSITY_M3 * ens.region.volume
+    return (ens.density_ppm * 1e-6 * CARBON_SITE_DENSITY_M3
+            * float(np.prod(ens.region.extents)))
 
 
 def collective_coupling(g0_mean: float, n_spins: float) -> float:

@@ -4,6 +4,8 @@ Each error carries the owning module name and a short machine-readable
 code; the CLI prints them as ``ERROR:<module>:<code>``.
 """
 
+import sys
+
 
 class ToolkitError(ValueError):
     """Base class for all toolkit errors."""
@@ -13,6 +15,13 @@ class ToolkitError(ValueError):
     def __init__(self, message: str, *, module: str = "core"):
         super().__init__(message)
         self.module = module
+
+
+def require_allocatable(n_elements: int, what: str) -> None:
+    """MemoryError for ``n_elements`` past numpy's array size limit, where numpy
+    raises ValueError; below it, at up to 64 bytes an element, allocation fails."""
+    if n_elements > sys.maxsize // 64:
+        raise MemoryError(f"{n_elements} {what} exceed numpy's array size limit")
 
 
 class DomainError(ToolkitError):

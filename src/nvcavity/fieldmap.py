@@ -18,7 +18,7 @@ import numpy as np
 
 from ._fileio import atomic_write_text, read_table, write_table
 from .constants import DEFAULT_CONTOUR_BINS, MU_0, PLANCK_H
-from .errors import DomainError, SingularityError, ValidationError
+from .errors import DomainError, SingularityError, ValidationError, require_allocatable
 
 _MODULE = "fieldmap"
 
@@ -57,6 +57,7 @@ class GridSpec:
         object.__setattr__(self, "dims", dims)
         if len(dims) != 3 or any(n < 1 for n in dims):
             raise DomainError("dims must be three integers >= 1", module=_MODULE)
+        require_allocatable(math.prod(dims), "grid nodes")
         if np.any(self.spacing <= 0):
             raise DomainError("grid spacing must be > 0 on every axis", module=_MODULE)
 
@@ -123,11 +124,6 @@ class FieldMap:
     def normalized(self) -> bool:
         return self.photon_frequency_hz is not None
 
-    @property
-    def magnitude(self) -> np.ndarray:
-        """|B| at every grid node, shape (nx, ny, nz)."""
-        return np.sqrt(np.sum(self.b * self.b, axis=3))
-
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return tuple(o + s * np.arange(n)
                      for o, s, n in zip(self.origin, self.spacing, self.dims))
@@ -153,10 +149,6 @@ class SampleRegion:
     @property
     def hi(self) -> np.ndarray:
         return self.center + self.extents / 2.0
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.extents))
 
 
 @dataclass(frozen=True)
@@ -426,7 +418,10 @@ def homogeneity(fmap: FieldMap, region: SampleRegion,
     if any(n < 2 for n in fmap.dims):
         raise DomainError("region statistics need >= 2 nodes per axis",
                           module=_MODULE)
-    values = _cell_center_mean(fmap.magnitude)
+    # |B| scaled exactly by a power of two, so that no square underflows.
+    exponent = np.frexp(np.max(np.abs(fmap.b)))[1]
+    b = np.ldexp(fmap.b, -exponent)
+    values = _cell_center_mean(np.sqrt(np.sum(b * b, axis=3)))
     ox, oy, oz = (
         np.maximum(np.minimum(nodes[1:], hi) - np.maximum(nodes[:-1], lo), 0.0)
         for nodes, lo, hi in zip(fmap.axes(), region.lo, region.hi))
@@ -447,8 +442,9 @@ def homogeneity(fmap: FieldMap, region: SampleRegion,
                        minlength=len(edges) + 1)
     fractions = sums / sums.sum()
     histogram = tuple(zip(list(edges) + [math.inf], (float(f) for f in fractions)))
-    return HomogeneityReport(mean_field_t=mean, rms_deviation=rms,
-                             max_deviation=max_dev, contour_histogram=histogram)
+    return HomogeneityReport(mean_field_t=float(np.ldexp(mean, exponent)),
+                             rms_deviation=rms, max_deviation=max_dev,
+                             contour_histogram=histogram)
 
 
 def export_map(path, fmap: FieldMap) -> None:
@@ -513,6 +509,7 @@ def ingest_map(path) -> FieldMap:
     dims = (meta["nx"], meta["ny"], meta["nz"])
     if any(n < 1 for n in dims):
         raise ValidationError("sidecar grid dims must be >= 1", module=_MODULE)
+    require_allocatable(math.prod(dims), "grid nodes")
     origin = np.array([meta["origin_x_m"], meta["origin_y_m"], meta["origin_z_m"]])
     spacing = np.array([meta["spacing_x_m"], meta["spacing_y_m"], meta["spacing_z_m"]])
     if not (np.all(spacing > 0) and np.all(np.isfinite(spacing))
@@ -542,26 +539,23 @@ def ingest_map(path) -> FieldMap:
     for vals, lineno in zip(data.tolist(), line_numbers):
         idx = []
         for ax in range(3):
-            pos = (vals[ax] - origin[ax]) / spacing[ax]
-            i = int(round(pos))
+            i = int(round((vals[ax] - origin[ax]) / spacing[ax]))
             if i < 0 or i >= dims[ax] \
                     or abs(vals[ax] - (origin[ax] + i * spacing[ax])) > tol[ax]:
                 raise ValidationError(
                     f"{path}:{lineno}: coordinate {vals[ax]!r} is not on the "
                     f"declared grid lattice (axis {ax})", module=_MODULE)
             idx.append(i)
-        ix, iy, iz = idx
-        if seen[ix, iy, iz]:
-            raise ValidationError(f"{path}:{lineno}: duplicate node "
-                                  f"({ix}, {iy}, {iz})", module=_MODULE)
-        seen[ix, iy, iz] = True
-        b[ix, iy, iz] = vals[3:]
+        idx = tuple(idx)
+        if seen[idx]:
+            raise ValidationError(f"{path}:{lineno}: duplicate node {idx}",
+                                  module=_MODULE)
+        seen[idx] = True
+        b[idx] = vals[3:]
 
     if not seen.all():
         ix, iy, iz = (int(i[0]) for i in np.nonzero(~seen))
-        x = origin[0] + ix * spacing[0]
-        y = origin[1] + iy * spacing[1]
-        z = origin[2] + iz * spacing[2]
+        x, y, z = origin + np.array([ix, iy, iz]) * spacing
         raise ValidationError(
             f"{path}: missing grid node ({ix}, {iy}, {iz}) at "
             f"({x:.9g}, {y:.9g}, {z:.9g}) m; found "

@@ -78,17 +78,34 @@ def _unit_direction(direction) -> np.ndarray:
     return direction / norm
 
 
-def _zeeman_field(species: SpinSpecies, b0) -> np.ndarray:
-    """``b0`` as a finite 3-vector whose Zeeman term does not overflow."""
-    b0 = np.asarray(b0, dtype=float)
-    if b0.shape != (3,) or not np.all(np.isfinite(b0)):
-        raise DomainError("static field must be a finite 3-vector in tesla",
+def _unit_axis(axis) -> np.ndarray:
+    """``axis`` as a finite 3-vector of norm 1 (to 1e-9)."""
+    axis = np.asarray(axis, dtype=float)
+    if axis.shape != (3,) or not np.all(np.isfinite(axis)):
+        raise DomainError("axis must be a finite 3-vector", module=_MODULE)
+    norm = float(np.linalg.norm(axis))
+    if abs(norm - 1.0) > 1e-9:
+        raise DomainError(f"axis must be normalized (|axis| = {norm:.12g})",
                           module=_MODULE)
-    # The levels span 2 g mu_B |B| / h, which must not overflow.
-    if not math.isfinite(2.0 * species.zeeman_hz_per_t * math.hypot(*b0)):
-        raise DomainError(f"Zeeman term g mu_B |B| / h overflows at |B| = "
-                          f"{math.hypot(*b0):.6g} T", module=_MODULE)
-    return b0
+    return axis
+
+
+def _zeeman_field(species: SpinSpecies, fields) -> np.ndarray:
+    """``fields`` as (n, 3) rows in tesla.  The first row that is not finite,
+    or whose level span 2 g mu_B |B| / h overflows, is rejected."""
+    fields = np.asarray(fields, dtype=float)
+    if fields.ndim == 2 and fields.shape[1] == 3:
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(2.0 * species.zeeman_hz_per_t * np.hypot(
+                np.hypot(fields[:, 0], fields[:, 1]), fields[:, 2]))
+        if finite.all():
+            return fields
+        b0 = fields[np.argmin(finite)]
+        if np.all(np.isfinite(b0)):
+            raise DomainError(f"Zeeman term g mu_B |B| / h overflows at |B| = "
+                              f"{math.hypot(*b0):.6g} T", module=_MODULE)
+    raise DomainError("static field must be a finite 3-vector in tesla",
+                      module=_MODULE)
 
 
 def _hamiltonians(species: SpinSpecies, axis: np.ndarray,
@@ -113,14 +130,7 @@ def hamiltonian(species: SpinSpecies, axis, b0) -> np.ndarray:
     lies along Sx.  A rotation about the axis, diag(e^-i phi, 1, e^i phi)
     in the {+1, 0, -1} basis, keeps the eigenvalues and |m_s=0> weights.
     """
-    axis = np.asarray(axis, dtype=float)
-    if axis.shape != (3,) or not np.all(np.isfinite(axis)):
-        raise DomainError("axis must be a finite 3-vector", module=_MODULE)
-    norm = float(np.linalg.norm(axis))
-    if abs(norm - 1.0) > 1e-9:
-        raise DomainError(f"axis must be normalized (|axis| = {norm:.12g})",
-                          module=_MODULE)
-    return _hamiltonians(species, axis, _zeeman_field(species, b0)[None])[0]
+    return _hamiltonians(species, _unit_axis(axis), _zeeman_field(species, [b0]))[0]
 
 
 def _transitions(h: np.ndarray):
@@ -155,62 +165,48 @@ _TUNE_TOL_HZ = 1.0
 
 def zeeman_tune(species: SpinSpecies, axes, direction, f_target: float,
                 which: str = "upper") -> float:
-    """Field magnitude along ``direction`` that tunes the selected
-    transition of sub-ensemble 0, the first of ``axes``, to ``f_target`` [Hz].
+    """Smallest field magnitude along ``direction`` in [0, 0.5] T at which
+    the selected transition of sub-ensemble 0, the first of ``axes``, is
+    within 1 Hz of ``f_target`` [Hz]; NoSolutionError when there is none.
 
-    Solves on the monotone branch starting at B = 0 by bracketing and
-    bisection to within 1 Hz; raises NoSolutionError when the target is
-    not reached on that branch within [0, 0.5] T.
+    With beta = g mu_B |B| / h and theta the field's angle to the axis, each
+    level lam solves lam (D - lam)^2 = beta^2 (lam - D sin^2 theta).  A ground
+    level u and the level u + f share beta^2; eliminating it leaves a cubic in
+    u, and each real root gives a candidate field that one eigensolve checks.
     """
     if which not in ("lower", "upper"):
         raise DomainError("which must be 'lower' or 'upper'", module=_MODULE)
     if f_target <= 0:
         raise DomainError("f_target must be > 0", module=_MODULE)
-    axis = np.asarray(axes, dtype=float)[0]
     direction = _unit_direction(direction)
-
-    def freq(b_mag: float) -> float:
-        levels = transition_frequencies(species, axis, b_mag * direction)
-        return levels.f_lower if which == "lower" else levels.f_upper
-
-    f0 = freq(0.0)
-    if abs(f0 - f_target) <= _TUNE_TOL_HZ:
+    axis = _unit_axis(np.asarray(axes, dtype=float)[0])
+    d_hz, zeeman = species.zero_field_splitting, species.zeeman_hz_per_t
+    if abs(d_hz - f_target) <= _TUNE_TOL_HZ:
         return 0.0
-    increasing = which == "upper"
-    if (f_target > f0) != increasing:
+    if (f_target > d_hz) != (which == "upper"):
         raise NoSolutionError(
             f"target {f_target:.6g} Hz is on the wrong side of the zero-field "
-            f"value {f0:.6g} Hz for the {which} branch", module=_MODULE)
-
-    # Walk the monotone branch from 0 until the target is bracketed or
-    # monotonicity breaks.
-    n_scan = 256
-    b_lo, b_hi, f_prev = 0.0, None, f0
-    for k in range(1, n_scan + 1):
-        b = _TUNE_B_MAX * k / n_scan
-        f = freq(b)
-        if (f < f_prev) if increasing else (f > f_prev):
-            break  # left the monotone branch
-        if (f >= f_target) if increasing else (f <= f_target):
-            b_hi = b
-            break
-        b_lo, f_prev = b, f
-    if b_hi is None:
-        raise NoSolutionError(
-            f"target {f_target:.6g} Hz not reachable on the monotone {which} "
-            f"branch within [0, {_TUNE_B_MAX}] T", module=_MODULE)
-
-    for _ in range(200):
-        b_mid = 0.5 * (b_lo + b_hi)
-        f_mid = freq(b_mid)
-        if abs(f_mid - f_target) <= _TUNE_TOL_HZ:
-            return b_mid
-        if (f_mid < f_target) == increasing:
-            b_lo = b_mid
-        else:
-            b_hi = b_mid
-    raise NoSolutionError("bisection failed to reach the 1 Hz tolerance",
-                          module=_MODULE)
+            f"value {d_hz:.6g} Hz for the {which} branch", module=_MODULE)
+    if f_target <= d_hz + 2.0 * zeeman * _TUNE_B_MAX:  # levels span <= D + 2 beta
+        q = max(d_hz, f_target)  # in units of q no term of the cubic overflows
+        d, f = d_hz / q, f_target / q
+        sd = (1.0 - min(1.0, float(axis @ direction) ** 2)) * d
+        u = np.roots([-2.0, 3 * sd - 3 * f + 2 * d,
+                      2 * f * d + 3 * f * sd - f * f - 4 * sd * d, sd * (f - d) ** 2])
+        w = np.array([u, u + f])[:, u.imag == 0].real  # each real root u
+        with np.errstate(all="ignore"):
+            # beta^2 from the level it is least sensitive to; 0/0 on the axis.
+            slope = np.abs(1 / w - 2 / (d - w) - 1 / (w - sd))
+            w = np.choose(np.argmin(np.nan_to_num(slope, nan=np.inf), axis=0), w)
+            b_mags = q * np.sqrt(w * (d - w) ** 2 / (w - sd)) / zeeman
+            b_mags = np.sort(b_mags[b_mags <= _TUNE_B_MAX]).tolist()
+        for b_mag in b_mags:
+            levels = transition_frequencies(species, axis, b_mag * direction)
+            if abs(getattr(levels, "f_" + which) - f_target) <= _TUNE_TOL_HZ:
+                return b_mag
+    raise NoSolutionError(
+        f"target {f_target:.6g} Hz not reachable on the {which} branch "
+        f"within [0, {_TUNE_B_MAX}] T", module=_MODULE)
 
 
 def write_transition_sweep(path, species: SpinSpecies, direction,
@@ -222,11 +218,7 @@ def write_transition_sweep(path, species: SpinSpecies, direction,
     """
     direction = _unit_direction(direction)
     b_values = np.asarray(b_values, dtype=float)
-    fields = b_values[:, None] * direction
-    # The first field that is not finite, or whose Zeeman term overflows,
-    # is rejected before anything is built or written.
-    for b0 in fields:
-        _zeeman_field(species, b0)
+    fields = _zeeman_field(species, b_values[:, None] * direction)
     # One stacked eigensolve over (field, axis), in row order.
     h = np.stack([_hamiltonians(species, axis, fields) for axis in NV_AXES], axis=1)
     freqs = _transitions(h)[1].tolist()

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._fileio import read_table, write_json, write_table
 from .errors import (DomainError, FitConvergenceError, NoSplittingError,
-                     ValidationError)
+                     ValidationError, require_allocatable)
 
 _MODULE = "spectroscopy"
 
@@ -148,6 +148,7 @@ def spectrum(sys: CoupledSystem, f_min: float, f_max: float,
                           f"have finite ends and span", module=_MODULE)
     if n_points < 2:
         raise DomainError("n_points must be >= 2", module=_MODULE)
+    require_allocatable(n_points, "probe points")
     freqs = np.linspace(f_min, f_max, int(n_points))
     return Spectrum(freq_hz=freqs, s21_sq=s21_squared(sys, freqs))
 
@@ -172,6 +173,7 @@ def avoided_crossing_map(sys: CoupledSystem, delta_range, probe_range,
                           f"finite ends and spans", module=_MODULE)
     if n_delta < 2 or n_probe < 2:
         raise DomainError("grid dims must be >= 2", module=_MODULE)
+    require_allocatable(n_delta * n_probe, "map points")
     deltas = np.linspace(d_min, d_max, n_delta)
     # Build the absolute probe grid the same way spectrum() does, so the
     # zero-detuning row matches it bitwise; the stored nu_p offsets are

@@ -159,6 +159,32 @@ class TestSpins:
 
 
 class TestFieldmapCommand:
+    def test_tiny_map_statistics(self, tmp_path, capsys):
+        # |B|^2 = 1e-600 underflows; the statistics must not.
+        infile = tmp_path / "tiny.csv"
+        b = np.zeros((3, 3, 3, 3))
+        b[..., 1] = 1e-300
+        fm.export_map(infile, fm.FieldMap(origin=(-3e-3, -3e-3, -1e-3),
+                                          spacing=(3e-3, 3e-3, 1e-3), b=b,
+                                          energy_j=1e-20))
+        out_report = tmp_path / "h.json"
+        rc, stdout, stderr = run_cli(
+            capsys, "fieldmap", "--infile", infile, "--region-center-mm", 0, 0, 0,
+            "--region-extents-mm", 2, 2, 0.6, "--out-map", tmp_path / "o.csv",
+            "--out-report", out_report)
+        assert (rc, stderr) == (0, "")
+        report = json.loads(out_report.read_text())
+        assert report["mean_field_T"] == pytest.approx(1e-300, rel=1e-15)
+        assert report["rms_deviation"] == report["max_deviation"] == 0.0
+
+    def test_failed_statistics_write_no_file(self, tmp_path, capsys,
+                                             monkeypatch):
+        # The region lies outside the map: nothing, not even the map, is
+        # written.
+        assert_one_error_line(tmp_path, capsys, monkeypatch, (
+            "fieldmap", "--infile", "map.csv", "--region-center-mm", 100, 0, 0,
+            "--region-extents-mm", 2, 2, 0.6), "ERROR:fieldmap:domain: ")
+
     def test_model_map_with_homogeneity_report(self, tmp_path, capsys):
         out_map = tmp_path / "map.csv"
         out_report = tmp_path / "homog.json"
@@ -695,16 +721,38 @@ def test_out_of_range_input_is_domain_error(tmp_path, capsys, monkeypatch,
                           f"ERROR:{module}:{code}: ")
 
 
+# A config file whose spins section asks for 1e300 sweep points.
+_HUGE_CONFIG = Path(__file__).with_name("config_n_points_1e300.json")
+
+
 @pytest.mark.parametrize("argv", [
     (*_FIELDMAP, "--sheet-length-mm", 8, "--grid-dims", 100000, 100000, 100000),
     ("spins", "--n-points", 10**15),
     (*_SPECTRUM, "--n-points", 10**15),
+    # Past numpy's index range, where numpy raises ValueError.
+    ("spins", "--n-points", 10**20),
+    (*_SPECTRUM, "--n-points", 10**20),
+    (*_MAP2D, "--n-delta", 10**20),
+    (*_FIELDMAP, "--sheet-length-mm", 8, "--grid-dims", 10**20, 2, 2),
+    ("--config", _HUGE_CONFIG, "spins"),
 ])
 def test_impossible_size_is_memory_error(tmp_path, capsys, monkeypatch, argv):
     # 1e15 float64 values (7 PiB) are refused at once by the allocator;
     # sizes that could really be allocated are not tested.
     assert_one_error_line(tmp_path, capsys, monkeypatch, argv,
                           "ERROR:cli:memory: ")
+
+
+def test_huge_sidecar_grid_is_memory_error(tmp_path, capsys, monkeypatch):
+    # The sidecar declares 1e20 x 3 x 3 nodes; the 27 rows are never placed.
+    monkeypatch.chdir(tmp_path)
+    export_uniform_map("map.csv")
+    _set_sidecar(tmp_path / "map.csv.meta", "nx", 10**20)
+    rc, stdout, stderr = run_cli(capsys, "fieldmap", "--infile", "map.csv",
+                                 "--out-map", "out.csv")
+    assert (rc, stdout) == (1, "")
+    assert stderr.startswith("ERROR:cli:memory: ") and stderr.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
 
 
 def _set_sidecar(meta, key, value):

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nvcavity import cli
@@ -339,12 +339,20 @@ def fuzz_inputs(tmp_path_factory):
 ERROR_LINE = r"^ERROR:[a-z_]+:[a-z_]+: "
 
 
-def contract_breaks(command, options, inputs, workdir, edit=None):
+def config_line(command, options, config_path):
+    """argv that reads every option, scalars too, from the config file."""
+    config_path.write_text(json.dumps({command: options}))
+    return ["--config", str(config_path), command]
+
+
+def contract_breaks(command, options, inputs, workdir, edit=None,
+                    line=command_line):
     """Run ``cli.main`` in ``workdir``; what it did against the error contract.
 
     The contract: exit 0 with an empty stderr, or exit 1 with exactly one
     ``ERROR:<module>:<code>: `` line; no warning; strict JSON reports.
     ``edit(workdir)``, when given, changes the copied input files first.
+    ``line`` turns the options into argv and the config file.
     """
     def reject(constant):
         raise ValueError(f"{constant} is not a JSON number")
@@ -355,7 +363,7 @@ def contract_breaks(command, options, inputs, workdir, edit=None):
             shutil.copy(path, workdir)
     if edit is not None:
         edit(workdir)
-    argv = command_line(command, options, workdir / "options.cfg")
+    argv = line(command, options, workdir / "options.cfg")
     err = io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
@@ -481,3 +489,51 @@ def test_file_contents_at_edge_values_end_in_one_error_line(
     workdir = Path(tempfile.mkdtemp(dir=tmp_path)) / "run"
     assert contract_breaks(command, options, fuzz_inputs, workdir,
                            edit=lambda path: apply_edit(path, *edit)) == []
+
+
+# Sizes in config files: small ones and ones past numpy's index range, as
+# JSON numbers.  A size between 1e4 and 1e15 elements would really allocate.
+CONFIG_SIZES = [-1, 0, 1, 2, 1e20, 1e300]
+
+
+def config_value(kind, base):
+    """Strategy of config values of ``kind``: from the fuzz pool, or, one
+    time in four, of a wrong JSON type."""
+    if kind is cli._INTEGER:
+        pool = st.sampled_from(CONFIG_SIZES)
+    elif kind is cli._INTEGERS3:
+        pool = st.lists(st.sampled_from(CONFIG_SIZES), min_size=3, max_size=3)
+    else:
+        pool = fuzz_value(kind, base)
+    return st.integers(0, 3).flatmap(
+        lambda k: wrong_value(kind) if k == 0 else pool)
+
+
+def config_case(name):
+    """Strategy of (name, options changed from its base): one to three
+    options of the command, at config values."""
+    command, base = BASES[name]
+    values = {key: config_value(kind, base.get(key))
+              for key, kind, _, _ in cli._OPTIONS[command]}
+    keys = st.lists(st.sampled_from(sorted(values)), min_size=1, max_size=3,
+                    unique=True)
+    return keys.flatmap(lambda ks: st.fixed_dictionaries(
+        {key: values[key] for key in ks})).map(lambda changed: (name, changed))
+
+
+@settings(max_examples=280, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(list(BASES)).flatmap(config_case))
+@example(case=("spins", {"n_points": 1e300}))
+@example(case=("crossing", {"n_delta": 1e20, "n_probe": 2}))
+@example(case=("fieldmap", {"grid_dims": [1e20, 2, 2]}))
+def test_config_contents_at_edge_values_end_in_one_error_line(
+        case, fuzz_inputs, tmp_path, monkeypatch):
+    # Every option comes from the config file, up to three of them at an
+    # edge value or of a wrong JSON type.
+    monkeypatch.setattr(cli, "build_parser", lambda: PARSER)
+    name, changed = case
+    command, base = BASES[name]
+    workdir = Path(tempfile.mkdtemp(dir=tmp_path)) / "run"
+    assert contract_breaks(command, {**base, **changed}, fuzz_inputs, workdir,
+                           line=config_line) == []

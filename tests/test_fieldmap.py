@@ -400,6 +400,35 @@ class TestHomogeneity:
         with pytest.raises(DomainError):
             fm.homogeneity(fmap, region)
 
+    def test_tiny_uniform_map(self):
+        # |B|^2 underflows to 0 below about 1e-154 T; the mean must not.
+        fmap = uniform_map([0.0, 1e-300, 0.0], energy_j=1.0)
+        region = fm.SampleRegion(center=(0, 0, 0), extents=(1e-3, 1e-3, 1e-3))
+        report = fm.homogeneity(fmap, region)
+        assert report.mean_field_t == pytest.approx(1e-300, rel=1e-15)
+        assert report.rms_deviation == report.max_deviation == 0.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-1000, 1000),
+           lo=st.tuples(*[st.floats(-1e-3, 0.0)] * 3),
+           size=st.tuples(*[st.floats(1e-5, 1e-3)] * 3))
+    def test_power_of_two_scale_is_exact(self, seed, k, lo, size):
+        # Scaling the field by 2^k scales the mean by 2^k exactly and keeps
+        # every relative statistic bit for bit, from 2^-1000 to 2^1000.
+        rng = np.random.default_rng(seed)
+        b = rng.uniform(0.5, 1.0, (4, 3, 3, 3)) * rng.choice([-1.0, 1.0], (4, 3, 3, 3))
+        grid = dict(origin=(-1.5e-3, -1e-3, -1e-3), spacing=(1e-3, 1e-3, 1e-3))
+        region = fm.SampleRegion(center=np.add(lo, np.divide(size, 2)),
+                                 extents=size)
+        base = fm.homogeneity(fm.FieldMap(b=b, energy_j=1.0, **grid), region)
+        scaled = fm.homogeneity(fm.FieldMap(b=np.ldexp(b, k), energy_j=1.0,
+                                            **grid), region)
+        assert scaled.mean_field_t == math.ldexp(base.mean_field_t, k)
+        assert (scaled.rms_deviation, scaled.max_deviation,
+                scaled.contour_histogram) == (base.rms_deviation,
+                                              base.max_deviation,
+                                              base.contour_histogram)
+
     def test_bad_bins_rejected(self):
         fmap = two_value_map()
         region = fm.SampleRegion(center=(1e-3, 0.5e-3, 0.5e-3),

@@ -1,5 +1,6 @@
 """Tests for the NV spin Hamiltonian and transition-frequency solver."""
 
+import contextlib
 import math
 import warnings
 
@@ -228,6 +229,13 @@ class TestHamiltonianStructure:
                                    (lv.f_upper, f_upper, ref.f_upper)):
             assert abs(f - f_oracle) <= tol and abs(f - f_ref) <= tol
 
+    @pytest.mark.parametrize("b0", [[0.01, 0.0], [[0.0, 0.0, 0.01]], 0.01,
+                                    [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]])
+    def test_field_must_be_a_finite_3_vector(self, b0):
+        with pytest.raises(DomainError, match="static field must be a finite "
+                                              "3-vector in tesla"):
+            hamiltonian(NV, NV_AXES[0], b0)
+
     def test_real_and_continuous_in_the_axis(self):
         # The two axes lie 1e-12 apart, on either side of a change in their
         # smallest component; a transverse frame seeded from that component
@@ -293,6 +301,171 @@ class TestZeemanTune:
             zeeman_tune(NV, NV_AXES, np.array([0.0, 1.0, 0.0]), 3.0e9, which="middle")
 
 
+def walk_tune(species, axis, direction, f_target, which):
+    """The field that the old ``zeeman_tune`` returned, or None: a walk of
+    256 steps of 1.95 mT from zero field along the branch while it stays
+    monotone, then bisection to 1 Hz.  The oracle of the closed form."""
+    def freq(b):
+        levels = transition_frequencies(species, axis, b * direction)
+        return levels.f_lower if which == "lower" else levels.f_upper
+
+    f0 = freq(0.0)
+    if abs(f0 - f_target) <= 1.0:
+        return 0.0
+    increasing = which == "upper"
+    if (f_target > f0) != increasing:
+        return None
+    b_lo, b_hi, f_prev = 0.0, None, f0
+    for k in range(1, 257):
+        b = 0.5 * k / 256
+        f = freq(b)
+        if (f < f_prev) if increasing else (f > f_prev):
+            return None  # left the monotone branch
+        if (f >= f_target) if increasing else (f <= f_target):
+            b_hi = b
+            break
+        b_lo, f_prev = b, f
+    if b_hi is None:
+        return None
+    for _ in range(200):
+        b_mid = 0.5 * (b_lo + b_hi)
+        f_mid = freq(b_mid)
+        if abs(f_mid - f_target) <= 1.0:
+            return b_mid
+        if (f_mid < f_target) == increasing:
+            b_lo = b_mid
+        else:
+            b_hi = b_mid
+    return None
+
+
+def at_angle(theta, phi):
+    """The unit vector at angle ``theta`` from NV_AXES[0], azimuth ``phi``."""
+    axis = NV_AXES[0]
+    t1 = np.cross(axis, [0.0, 0.0, 1.0])
+    t1 /= np.linalg.norm(t1)
+    t2 = np.cross(axis, t1)
+    return (math.cos(theta) * axis
+            + math.sin(theta) * (math.cos(phi) * t1 + math.sin(phi) * t2))
+
+
+_D_HZ = NV.zero_field_splitting
+# Angles from the axis: on it and near it, anywhere, and at and near 90 deg.
+_ANGLES = st.one_of(st.just(0.0), st.floats(1e-9, 1e-2), st.floats(0.0, math.pi / 2),
+                    st.just(math.pi / 2), st.floats(math.pi / 2 - 1e-2, math.pi / 2))
+# Targets within 1 MHz of D, across both branches, and around 2D, where
+# the upper branch meets the |m_s=0> level anticrossing (beta ~ D).
+_TARGETS = st.one_of(st.floats(_D_HZ - 1e6, _D_HZ + 1e6),
+                     st.floats(2.0e9, 17e9), st.floats(5.6e9, 5.9e9))
+
+
+class TestZeemanTuneOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(theta=_ANGLES, phi=st.floats(0.0, 2 * math.pi), f_target=_TARGETS,
+           which=st.sampled_from(["lower", "upper"]))
+    def test_closed_form_solves_wherever_the_walk_does(self, theta, phi,
+                                                       f_target, which):
+        direction = at_angle(theta, phi)
+        b_old = walk_tune(NV, NV_AXES[0], direction, f_target, which)
+        try:
+            b_new = zeeman_tune(NV, NV_AXES, direction, f_target, which)
+        except NoSolutionError:
+            assert b_old is None
+            return
+        levels = transition_frequencies(NV, NV_AXES[0], b_new * direction)
+        f_new = levels.f_lower if which == "lower" else levels.f_upper
+        # Only the zero-field return is 1 Hz off; a solved field is exact.
+        assert abs(f_new - f_target) <= (1.0 if b_new == 0.0 else 0.01)
+        if b_old is not None and abs(f_target - _D_HZ) > 1e6:
+            assert b_new <= b_old * (1 + 1e-6)
+
+    # Along [0 1 0] the lower branch bottoms out at f_min at B = 30.1365 mT.
+    # The walk's 1.95 mT steps step over targets just above f_min.
+    F_MIN_010 = 2630316038.79
+
+    def test_lower_target_just_above_the_turning_point(self):
+        direction = np.array([0.0, 1.0, 0.0])
+        f_target = self.F_MIN_010 + 1e3
+        b = zeeman_tune(NV, NV_AXES, direction, f_target, which="lower")
+        levels = transition_frequencies(NV, NV_AXES[0], b * direction)
+        assert abs(levels.f_lower - f_target) <= 0.01
+        assert 0.0300 < b < 0.030136  # the smaller of the two fields
+        with pytest.raises(NoSolutionError):
+            zeeman_tune(NV, NV_AXES, direction, self.F_MIN_010 - 1e3, which="lower")
+
+    def test_zero_field_target_needs_no_eigensolve(self, monkeypatch):
+        import nvcavity.nvspin as nvspin
+
+        def refuse(*args):
+            raise AssertionError("no eigensolve expected")
+
+        monkeypatch.setattr(nvspin, "transition_frequencies", refuse)
+        direction = np.array([0.0, 1.0, 0.0])
+        assert zeeman_tune(NV, NV_AXES, direction, _D_HZ + 0.5) == 0.0
+        with pytest.raises(NoSolutionError, match="wrong side"):
+            zeeman_tune(NV, NV_AXES, direction, _D_HZ - 2.0)
+        with pytest.raises(NoSolutionError, match="not reachable"):
+            zeeman_tune(NV, NV_AXES, direction, 30e9)
+
+    def test_at_most_three_eigensolves(self, monkeypatch):
+        import nvcavity.nvspin as nvspin
+
+        calls = []
+        real = nvspin.transition_frequencies
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(nvspin, "transition_frequencies", counted)
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            direction = at_angle(rng.uniform(0, math.pi / 2), rng.uniform(0, 6.3))
+            which = str(rng.choice(["lower", "upper"]))
+            f_target = _D_HZ + (1 if which == "upper" else -1) * rng.uniform(1e3, 1e9)
+            calls.clear()
+            with contextlib.suppress(NoSolutionError):
+                zeeman_tune(NV, NV_AXES, direction, f_target, which)
+            assert len(calls) <= 3
+
+    def test_lower_target_near_d_keeps_the_smallest_field(self):
+        # Near zero field u ~ beta^2, so beta^2 must come from the level
+        # that it is least sensitive to, or the tiny field is lost.
+        direction = np.array([0.0, 1.0, 0.0])
+        b = zeeman_tune(NV, NV_AXES, direction, _D_HZ - 2.0, which="lower")
+        assert 0.0 < b < 1e-6
+        levels = transition_frequencies(NV, NV_AXES[0], b * direction)
+        assert abs(levels.f_lower - (_D_HZ - 2.0)) <= 0.01
+
+    @pytest.mark.parametrize("d_hz, g_factor, f_target, which", [
+        (5e-315, 2.0028, 3.121e9, "upper"),
+        (1e-291, 2.0028, 3.121e9, "upper"),
+        (2.87e9, 5e-324, 2.7e9, "lower"),
+        (2.87e9, 2.0028, 1e300, "upper"),
+        (2.87e9, 2.0028, 1e308, "upper"),
+        (2.87e9, 2.0028, math.inf, "upper"),
+        (2.87e9, 2.0028, math.nan, "lower"),
+    ])
+    def test_extreme_species_and_targets(self, d_hz, g_factor, f_target, which):
+        # A field, or NoSolutionError; no warning and no other error.
+        species = SpinSpecies(zero_field_splitting=d_hz, g_factor=g_factor)
+        direction = np.array([0.0, 1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                b = zeeman_tune(species, NV_AXES, direction, f_target, which)
+            except NoSolutionError:
+                return
+        levels = transition_frequencies(species, NV_AXES[0], b * direction)
+        assert abs(getattr(levels, "f_" + which) - f_target) <= 1.0
+
+    def test_bad_axis_rejected_before_any_return(self):
+        direction = np.array([0.0, 1.0, 0.0])
+        for axes in ([[1.0, 1.0, 1.0]], [[np.nan, 0.0, 0.0]], [[1.0, 0.0]]):
+            with pytest.raises(DomainError, match="axis must be"):
+                zeeman_tune(NV, axes, direction, _D_HZ)
+
+
 class TestSweepFile:
     def test_writes_all_axes_and_fields(self, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -343,6 +516,20 @@ class TestSweepFile:
         write_transition_sweep(plain, NV, unit, [0.0, 0.01])
         assert small.read_text() == plain.read_text()
         assert b_small == zeeman_tune(NV, NV_AXES, unit, 3.0e9)
+
+    @pytest.mark.parametrize("b_values, message", [
+        ([0.0, 1e300, np.nan], "overflows at [|]B[|] = 1e[+]300 T"),
+        ([0.0, np.nan, 1e300], "static field must be a finite 3-vector"),
+        ([0.01, np.inf], "static field must be a finite 3-vector"),
+        ([0.01, 0.02, -1e305, 1e306], "overflows at [|]B[|] = 1e[+]305 T"),
+    ])
+    def test_first_bad_field_is_named(self, tmp_path, b_values, message):
+        path = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                write_transition_sweep(path, NV, [1.0, 1.0, 1.0], b_values)
+        assert not path.exists()
 
     def test_unnormalized_direction_is_scaled(self, tmp_path):
         scaled, unit = tmp_path / "scaled.csv", tmp_path / "unit.csv"
