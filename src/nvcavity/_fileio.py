@@ -65,7 +65,7 @@ def write_table(path, header: str, rows, sep: str = ",") -> None:
     """
     lines = [header]
     for row in rows:
-        lines.append("" if row is None else sep.join(["%.17g" % v for v in row]))
+        lines.append("" if row is None else sep.join(["%.17g"] * len(row)) % tuple(row))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

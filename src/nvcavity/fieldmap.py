@@ -509,7 +509,7 @@ def ingest_map(path) -> FieldMap:
     dims = (meta["nx"], meta["ny"], meta["nz"])
     if any(n < 1 for n in dims):
         raise ValidationError("sidecar grid dims must be >= 1", module=_MODULE)
-    require_allocatable(math.prod(dims), "grid nodes")
+    require_allocatable(n_nodes := math.prod(dims), "grid nodes")
     origin = np.array([meta["origin_x_m"], meta["origin_y_m"], meta["origin_z_m"]])
     spacing = np.array([meta["spacing_x_m"], meta["spacing_y_m"], meta["spacing_z_m"]])
     if not (np.all(spacing > 0) and np.all(np.isfinite(spacing))
@@ -517,50 +517,49 @@ def ingest_map(path) -> FieldMap:
         raise ValidationError("sidecar origin/spacing invalid", module=_MODULE)
 
     data, line_numbers = read_table(path, _CSV_HEADER, 6, _MODULE)
-    # A coordinate far off the lattice scale overflows its lattice position,
-    # and a field sample far off scale its |B|^2.
-    with np.errstate(over="ignore"):
-        off_scale = ~np.isfinite((data[:, :3] - origin) / spacing)
-        too_large = ~np.isfinite(np.sum(data[:, 3:] * data[:, 3:], axis=1))
-    if off_scale.any():
-        row, ax = (int(i) for i in np.argwhere(off_scale)[0])
-        raise ValidationError(
+
+    def off_lattice(row, ax):
+        return ValidationError(
             f"{path}:{line_numbers[row]}: coordinate {float(data[row, ax])!r} is not "
             f"on the declared grid lattice (axis {ax})", module=_MODULE)
+
+    # A coordinate far off the lattice scale overflows its lattice position
+    # (and its node's), and a field sample far off scale its |B|^2.
+    with np.errstate(over="ignore"):
+        position = (data[:, :3] - origin) / spacing
+        too_large = ~np.isfinite(np.sum(data[:, 3:] * data[:, 3:], axis=1))
+        idx = np.rint(position)  # half to even, as round() does
+        bad = ((idx < 0) | (idx >= dims)
+               | (np.abs(data[:, :3] - (origin + idx * spacing)) > 1e-6 * spacing))
+    if not np.isfinite(position).all():
+        raise off_lattice(*np.argwhere(~np.isfinite(position))[0])
     if too_large.any():
         row = int(np.argmax(too_large))
         raise ValidationError(f"{path}:{line_numbers[row]}: field sample "
                               f"{data[row, 3:].tolist()} T overflows |B|^2",
                               module=_MODULE)
-    n_nodes = dims[0] * dims[1] * dims[2]
-    b = np.empty((*dims, 3))
-    seen = np.zeros(dims, dtype=bool)
-    tol = 1e-6 * spacing
-    for vals, lineno in zip(data.tolist(), line_numbers):
-        idx = []
-        for ax in range(3):
-            i = int(round((vals[ax] - origin[ax]) / spacing[ax]))
-            if i < 0 or i >= dims[ax] \
-                    or abs(vals[ax] - (origin[ax] + i * spacing[ax])) > tol[ax]:
-                raise ValidationError(
-                    f"{path}:{lineno}: coordinate {vals[ax]!r} is not on the "
-                    f"declared grid lattice (axis {ax})", module=_MODULE)
-            idx.append(i)
-        idx = tuple(idx)
-        if seen[idx]:
-            raise ValidationError(f"{path}:{lineno}: duplicate node {idx}",
-                                  module=_MODULE)
-        seen[idx] = True
-        b[idx] = vals[3:]
-
-    if not seen.all():
-        ix, iy, iz = (int(i[0]) for i in np.nonzero(~seen))
+    b = np.empty((n_nodes, 3))
+    # In file order, report the first row off the lattice or on a held node.
+    n_good = int(np.argmax(bad.any(axis=1))) if bad.any() else len(data)
+    flat = np.ravel_multi_index(idx[:n_good].astype(np.intp).T, dims)
+    counts = np.bincount(flat, minlength=n_nodes)
+    found = np.count_nonzero(counts)
+    if found < n_good:
+        order = np.argsort(flat, kind="stable")
+        row = int(order[1:][flat[order[1:]] == flat[order[:-1]]].min())
+        raise ValidationError(f"{path}:{line_numbers[row]}: duplicate node "
+                              f"{tuple(int(i) for i in idx[row])}", module=_MODULE)
+    if n_good < len(data):
+        raise off_lattice(n_good, int(np.argmax(bad[n_good])))
+    if found < n_nodes:
+        ix, iy, iz = (int(i) for i in np.unravel_index(np.argmin(counts), dims))
         x, y, z = origin + np.array([ix, iy, iz]) * spacing
         raise ValidationError(
             f"{path}: missing grid node ({ix}, {iy}, {iz}) at "
             f"({x:.9g}, {y:.9g}, {z:.9g}) m; found "
-            f"{int(seen.sum())} of {n_nodes} nodes", module=_MODULE)
+            f"{found} of {n_nodes} nodes", module=_MODULE)
+    b[flat] = data[:, 3:]
 
-    return FieldMap(origin=origin, spacing=spacing, b=b,
+    return FieldMap(origin=origin, spacing=spacing, b=b.reshape(*dims, 3),
                     energy_j=meta["energy_J"],
                     photon_frequency_hz=meta.get("photon_frequency_Hz"))

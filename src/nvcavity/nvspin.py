@@ -218,7 +218,8 @@ def write_transition_sweep(path, species: SpinSpecies, direction,
     """
     direction = _unit_direction(direction)
     b_values = np.asarray(b_values, dtype=float)
-    fields = _zeeman_field(species, b_values[:, None] * direction)
+    with np.errstate(invalid="ignore"):  # inf * 0 is nan, which _zeeman_field rejects
+        fields = _zeeman_field(species, b_values[:, None] * direction)
     # One stacked eigensolve over (field, axis), in row order.
     h = np.stack([_hamiltonians(species, axis, fields) for axis in NV_AXES], axis=1)
     freqs = _transitions(h)[1].tolist()

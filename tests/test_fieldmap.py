@@ -1,15 +1,18 @@
 """Tests for field-map generation, normalization, and homogeneity."""
 
 import math
+import os
+import tempfile
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
 from nvcavity import fieldmap as fm
+from nvcavity._fileio import read_table
 from nvcavity.constants import MU_0, PLANCK_H
 from nvcavity.errors import DomainError, SingularityError, ValidationError
 
@@ -560,3 +563,169 @@ class TestExportIngest:
         assert np.all(fmap.b[..., 1] == 1e-3)
         assert fmap.energy_j == pytest.approx(energy, rel=1e-12)
         assert fm.mode_energy(fmap) == pytest.approx(energy, rel=1e-12)
+
+
+def loop_ingest(path):
+    """The old per-row ``ingest_map``, kept as the oracle of the array one:
+    each row in file order is placed on the lattice axis by axis, then
+    checked against the nodes the rows before it hold."""
+    meta = fm._parse_sidecar(path)
+    dims = (meta["nx"], meta["ny"], meta["nz"])
+    origin = np.array([meta["origin_x_m"], meta["origin_y_m"], meta["origin_z_m"]])
+    spacing = np.array([meta["spacing_x_m"], meta["spacing_y_m"], meta["spacing_z_m"]])
+    data, line_numbers = read_table(path, fm._CSV_HEADER, 6, "fieldmap")
+    with np.errstate(over="ignore"):
+        off_scale = ~np.isfinite((data[:, :3] - origin) / spacing)
+        too_large = ~np.isfinite(np.sum(data[:, 3:] * data[:, 3:], axis=1))
+    if off_scale.any():
+        row, ax = (int(i) for i in np.argwhere(off_scale)[0])
+        raise ValidationError(
+            f"{path}:{line_numbers[row]}: coordinate {float(data[row, ax])!r} is not "
+            f"on the declared grid lattice (axis {ax})", module="fieldmap")
+    if too_large.any():
+        row = int(np.argmax(too_large))
+        raise ValidationError(f"{path}:{line_numbers[row]}: field sample "
+                              f"{data[row, 3:].tolist()} T overflows |B|^2",
+                              module="fieldmap")
+    n_nodes = dims[0] * dims[1] * dims[2]
+    b = np.empty((*dims, 3))
+    seen = np.zeros(dims, dtype=bool)
+    tol = 1e-6 * spacing
+    for vals, lineno in zip(data.tolist(), line_numbers):
+        idx = []
+        for ax in range(3):
+            i = int(round((vals[ax] - origin[ax]) / spacing[ax]))
+            if i < 0 or i >= dims[ax] \
+                    or abs(vals[ax] - (origin[ax] + i * spacing[ax])) > tol[ax]:
+                raise ValidationError(
+                    f"{path}:{lineno}: coordinate {vals[ax]!r} is not on the "
+                    f"declared grid lattice (axis {ax})", module="fieldmap")
+            idx.append(i)
+        idx = tuple(idx)
+        if seen[idx]:
+            raise ValidationError(f"{path}:{lineno}: duplicate node {idx}",
+                                  module="fieldmap")
+        seen[idx] = True
+        b[idx] = vals[3:]
+    if not seen.all():
+        ix, iy, iz = (int(i[0]) for i in np.nonzero(~seen))
+        x, y, z = origin + np.array([ix, iy, iz]) * spacing
+        raise ValidationError(
+            f"{path}: missing grid node ({ix}, {iy}, {iz}) at "
+            f"({x:.9g}, {y:.9g}, {z:.9g}) m; found "
+            f"{int(seen.sum())} of {n_nodes} nodes", module="fieldmap")
+    return fm.FieldMap(origin=origin, spacing=spacing, b=b,
+                       energy_j=meta["energy_J"],
+                       photon_frequency_hz=meta.get("photon_frequency_Hz"))
+
+
+def map_rows(dims, origin, spacing, seed, defects):
+    """The node rows of a map, shuffled by ``seed``, with ``defects`` applied
+    in order.  Each defect is (kind, row, k): a coordinate defect moves axis
+    k % 3 of that row, "duplicate" inserts a copy of the row at position k,
+    "missing" deletes the row and "huge" overflows field component k % 3."""
+    rng = np.random.default_rng(seed)
+    nodes = np.stack(np.meshgrid(*(o + s * np.arange(n) for o, s, n
+                                   in zip(origin, spacing, dims)), indexing="ij"),
+                     axis=-1).reshape(-1, 3)
+    b = rng.normal(scale=10.0 ** rng.uniform(-9, -3), size=nodes.shape)
+    rows = np.column_stack([nodes, b])[rng.permutation(len(nodes))].tolist()
+    for kind, row, k in defects:
+        if not rows:
+            break
+        row %= len(rows)
+        ax = k % 3
+        tol = 1e-6 * spacing[ax]
+        moved = {"inside": rows[row][ax] + 0.999 * tol,
+                 "outside": rows[row][ax] + 1.001 * tol,
+                 "edge": rows[row][ax] - tol,
+                 "below": origin[ax] - spacing[ax],
+                 "above": origin[ax] + dims[ax] * spacing[ax],
+                 "far": 1.5e308}
+        if kind in moved:
+            rows[row][ax] = float(moved[kind])
+        elif kind == "duplicate":
+            rows.insert(k % (len(rows) + 1), list(rows[row]))
+        elif kind == "missing":
+            del rows[row]
+        elif kind == "huge":
+            rows[row][3 + ax] = 1e200
+    return rows
+
+
+def outcome(ingest, path):
+    """The map's bits, or the text of the ValidationError it raises."""
+    try:
+        fmap = ingest(path)
+    except ValidationError as exc:
+        return str(exc)
+    return (fmap.b.shape, fmap.b.tobytes(), fmap.origin.tobytes(),
+            fmap.spacing.tobytes(), fmap.energy_j, fmap.photon_frequency_hz)
+
+
+DEFECT_KINDS = ["inside", "outside", "edge", "below", "above", "far",
+                "duplicate", "missing", "huge"]
+
+
+class TestIngestAgainstTheRowLoop:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(dims=st.tuples(*[st.integers(1, 4)] * 3),
+           origin=st.tuples(*[st.floats(-1e-2, 1e-2)] * 3),
+           spacing=st.tuples(*[st.floats(1e-6, 1e-2)] * 3),
+           seed=st.integers(0, 2**32 - 1),
+           defects=st.lists(st.tuples(st.sampled_from(DEFECT_KINDS),
+                                      st.integers(0, 63), st.integers(0, 63)),
+                            max_size=2),
+           blanks=st.lists(st.integers(0, 64), max_size=3))
+    @example(dims=(2, 3, 2), origin=(-1e-3, 0.0, 2e-3), spacing=(5e-4, 2.5e-4, 1e-3),
+             seed=1, defects=[], blanks=[0, 5, 64])
+    @example(dims=(2, 3, 2), origin=(-1e-3, 0.0, 2e-3), spacing=(5e-4, 2.5e-4, 1e-3),
+             seed=2, defects=[("inside", 3, 0)], blanks=[])
+    @example(dims=(2, 3, 2), origin=(-1e-3, 0.0, 2e-3), spacing=(5e-4, 2.5e-4, 1e-3),
+             seed=3, defects=[("outside", 3, 1)], blanks=[])
+    @example(dims=(2, 3, 2), origin=(-1e-3, 0.0, 2e-3), spacing=(5e-4, 2.5e-4, 1e-3),
+             seed=4, defects=[("below", 0, 2)], blanks=[2])
+    @example(dims=(2, 3, 2), origin=(-1e-3, 0.0, 2e-3), spacing=(5e-4, 2.5e-4, 1e-3),
+             seed=5, defects=[("above", 5, 0)], blanks=[])
+    @example(dims=(3, 3, 2), origin=(0.0, 0.0, 0.0), spacing=(1e-3, 1e-3, 1e-3),
+             seed=6, defects=[("outside", 5, 0), ("duplicate", 0, 1)], blanks=[])
+    @example(dims=(3, 3, 2), origin=(0.0, 0.0, 0.0), spacing=(1e-3, 1e-3, 1e-3),
+             seed=7, defects=[("outside", 1, 2), ("duplicate", 0, 5)], blanks=[3])
+    @example(dims=(3, 2, 4), origin=(1e-3, -1e-3, 0.0), spacing=(1e-4, 2e-4, 3e-4),
+             seed=8, defects=[("missing", 4, 0)], blanks=[])
+    @example(dims=(3, 2, 4), origin=(1e-3, -1e-3, 0.0), spacing=(1e-4, 2e-4, 3e-4),
+             seed=9, defects=[("duplicate", 4, 9), ("missing", 0, 0)], blanks=[1])
+    @example(dims=(1, 1, 1), origin=(0.0, 0.0, 0.0), spacing=(1e-3, 1e-3, 1e-3),
+             seed=10, defects=[("missing", 0, 0)], blanks=[])
+    @example(dims=(2, 2, 2), origin=(0.0, 0.0, 0.0), spacing=(1e-3, 1e-3, 1e-3),
+             seed=11, defects=[("duplicate", 2, 7), ("far", 1, 1)], blanks=[])
+    @example(dims=(2, 2, 2), origin=(0.0, 0.0, 0.0), spacing=(1e-3, 1e-3, 1e-3),
+             seed=12, defects=[("outside", 0, 0), ("huge", 6, 2)], blanks=[])
+    @example(dims=(4, 1, 3), origin=(2e-3, 0.0, -5e-3), spacing=(7e-4, 1e-3, 3e-3),
+             seed=13, defects=[("edge", 2, 2)], blanks=[])
+    # Every x is 0 here, so "edge" puts one exactly at the tolerance.
+    @example(dims=(1, 3, 2), origin=(0.0, 0.0, 0.0), spacing=(1e-3, 1e-3, 1e-3),
+             seed=14, defects=[("edge", 4, 0)], blanks=[])
+    # Two duplicates: the first in file order is named.
+    @example(dims=(3, 3, 2), origin=(0.0, 0.0, 0.0), spacing=(1e-3, 1e-3, 1e-3),
+             seed=15, defects=[("duplicate", 7, 9), ("duplicate", 2, 4)], blanks=[])
+    # Two bad axes on one row: the first is named.
+    @example(dims=(3, 3, 2), origin=(0.0, 0.0, 0.0), spacing=(1e-3, 1e-3, 1e-3),
+             seed=16, defects=[("outside", 6, 0), ("below", 6, 2)], blanks=[])
+    def test_same_map_or_same_error(self, dims, origin, spacing, seed, defects,
+                                    blanks):
+        rows = map_rows(dims, origin, spacing, seed, defects)
+        lines = [",".join("%.17g" % v for v in row) for row in rows]
+        for at in blanks:
+            lines.insert(at % (len(lines) + 1), "")
+        sidecar = [f"n{a}={n}" for a, n in zip("xyz", dims)]
+        sidecar += [f"origin_{a}_m={o!r}" for a, o in zip("xyz", origin)]
+        sidecar += [f"spacing_{a}_m={s!r}" for a, s in zip("xyz", spacing)]
+        sidecar += ["energy_J=3.3e-21"]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "map.csv")
+            with open(path, "w") as fh:
+                fh.write("\n".join([fm._CSV_HEADER, *lines]) + "\n")
+            with open(path + ".meta", "w") as fh:
+                fh.write("\n".join(sidecar) + "\n")
+            assert outcome(fm.ingest_map, path) == outcome(loop_ingest, path)

@@ -62,6 +62,28 @@ def test_table_round_trip_is_bit_exact(rows):
     assert line_numbers == list(range(2, 2 + len(rows)))
 
 
+TABLE_VALUES = st.one_of(
+    st.floats(), st.integers(-2**1000, 2**1000),
+    st.sampled_from([*EXTREMES, 2**53 + 1, -2**63 - 1, 2**64 + 3, 0, -1,
+                     np.float64(0.1), 1e-310]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.one_of(st.none(), st.lists(TABLE_VALUES, max_size=7),
+                               st.tuples(TABLE_VALUES, TABLE_VALUES)), max_size=12),
+       sep=st.sampled_from([",", " "]))
+@example(rows=[EXTREMES, None, [2**53 + 1, 2**60, -0.0, 5e-324]], sep=",")
+@example(rows=[None, [1.7976931348623157e308, 1], None, []], sep=" ")
+def test_table_rows_equal_the_per_value_join(rows, sep):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_table(path, "h", rows, sep=sep)
+        text = path.read_text()
+    want = ["h"] + ["" if row is None else sep.join("%.17g" % v for v in row)
+                    for row in rows]
+    assert text == "\n".join(want) + "\n"
+
+
 def spectrum_file(tmp_path, lines):
     """A spectrum CSV of two good rows, then ``lines`` from line 4 on."""
     path = tmp_path / "spec.csv"

@@ -531,6 +531,25 @@ class TestSweepFile:
                 write_transition_sweep(path, NV, [1.0, 1.0, 1.0], b_values)
         assert not path.exists()
 
+    # Along a direction with a zero component an infinite magnitude times 0
+    # is nan; the sweep rejects it as it does along [1 1 1], without a
+    # warning, and still names the first bad field.
+    @pytest.mark.parametrize("direction", [[0.0, 1.0, 0.0], [0.0, 0.0, -2.0],
+                                           [1.0, 1.0, 1.0]])
+    @pytest.mark.parametrize("b_values, message", [
+        ([0.01, np.inf], "static field must be a finite 3-vector"),
+        ([-np.inf, 0.01], "static field must be a finite 3-vector"),
+        ([0.0, 1e300, np.inf], "overflows at [|]B[|] = 1e[+]300 T"),
+    ])
+    def test_infinite_field_along_a_zero_component(self, tmp_path, direction,
+                                                    b_values, message):
+        path = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                write_transition_sweep(path, NV, direction, b_values)
+        assert not path.exists()
+
     def test_unnormalized_direction_is_scaled(self, tmp_path):
         scaled, unit = tmp_path / "scaled.csv", tmp_path / "unit.csv"
         write_transition_sweep(scaled, NV, [0.0, 2.5, 0.0], [0.0, 0.01])
